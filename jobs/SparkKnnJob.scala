@@ -1,20 +1,20 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.SynthData
+import repro.data.VectorData
 import repro.prune.Bond
 import repro.spark.PdxSpark
 
 /** Distributed PDX similarity search demo for spark-submit:
-  * generates clustered embeddings, packs them into per-partition PDX
-  * blocks, and answers a KNN query with PDXearch + PDX-BOND inside the
-  * executors (global top-k merged by Spark).
+  * generates a clustered collection with `VectorData.generate`, packs it
+  * into per-partition PDX blocks, and answers one of its queries with
+  * PDXearch + PDX-BOND inside the executors (global top-k merged by Spark).
   *
   * Args: [nVectors] [dims] [k]  (defaults 100000 64 10)
   */
 object SparkKnnJob {
   def main(args: Array[String]): Unit = {
-    val n = if (args.length > 0) args(0).toLong else 100000L
+    val n = if (args.length > 0) args(0).toInt else 100000
     val d = if (args.length > 1) args(1).toInt else 64
     val k = if (args.length > 2) args(2).toInt else 10
     val spark = SparkSession.builder
@@ -22,11 +22,12 @@ object SparkKnnJob {
       .appName("pdx-knn")
       .getOrCreate()
     try {
-      val df = SynthData.embeddings(spark, n, d, clusters = 64, seed = 42)
+      val ds = VectorData.generate(
+        VectorData.DatasetSpec("SparkKnn", d, n, nQueries = 1, skewed = false, seed = 42))
+      val df = PdxSpark.toVectorDF(spark, ds.vectors, spark.sparkContext.defaultParallelism)
       val blocks = PdxSpark.pack(df, blockSize = 64).cache()
-      val query = df.orderBy("id").first().getSeq[Float](1).toArray
       val t0 = System.nanoTime()
-      val res = PdxSpark.knnBond(blocks, query, k, Bond.DistanceToMeans).collect()
+      val res = PdxSpark.knnBond(blocks, ds.queries.head, k, Bond.DistanceToMeans).collect()
       val ms = (System.nanoTime() - t0) / 1e6
       println(f"PDX-BOND distributed $k-NN over $n vectors (d=$d) in $ms%.1f ms:")
       res.foreach(r => println(f"  id=${r.getLong(0)}%8d  dist=${r.getDouble(1)}%.4f"))

@@ -46,6 +46,22 @@ object BenchUtil {
     times(reps / 2)
   }
 
+  /** Queries per second of `f` over `queries`: one warm-up pass, then
+    * whole passes until at least `minNanos` have elapsed.
+    */
+  def qps(queries: Seq[Array[Float]], minNanos: Long)(f: Array[Float] => Unit): Double = {
+    queries.foreach(f)
+    val t0 = System.nanoTime()
+    var reps = 0
+    var elapsed = 0L
+    while (elapsed < minNanos) {
+      queries.foreach(f)
+      reps += 1
+      elapsed = System.nanoTime() - t0
+    }
+    queries.length.toLong * reps * 1e9 / elapsed
+  }
+
   private def timeBatch(batch: Int)(f: => Unit): Double = {
     val t0 = System.nanoTime()
     var i = 0

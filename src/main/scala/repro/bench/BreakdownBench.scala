@@ -85,70 +85,46 @@ object BreakdownBench {
     // `passes` measured passes per algorithm.
     val passes = if (quick) 1 else 3
 
-    def bestPass(prof: SearchProfiler,
-                 runAll: () => Double): (Long, SearchProfiler, Double) = {
-      var best: (Long, SearchProfiler, Double) = null
-      (0 until passes).foreach { _ =>
+    /** `unitBoundNs` is NaN when the searcher times its bound loops itself. */
+    def measure(name: String, prof: SearchProfiler, unitBoundNs: Double)
+               (search: Array[Float] => IndexedSeq[(Long, Float)]): AlgoBreakdown = {
+      queries.foreach(search) // warmup pass
+      (0 until passes).map { _ =>
         prof.reset()
         val t0 = System.nanoTime()
-        val recall = runAll()
-        val totalNs = System.nanoTime() - t0
-        if (best == null || totalNs < best._1) {
-          val snap = new SearchProfiler
-          snap.queryPrepNanos = prof.queryPrepNanos
-          snap.findBucketsNanos = prof.findBucketsNanos
-          snap.distanceNanos = prof.distanceNanos
-          snap.boundsNanos = prof.boundsNanos
-          snap.dimValuesScanned = prof.dimValuesScanned
-          snap.boundEvals = prof.boundEvals
-          best = (totalNs, snap, recall)
+        var recallSum = 0.0
+        queries.indices.foreach { qi =>
+          recallSum += VectorData.recall(search(queries(qi)).map(_._1), gt(qi))
         }
-      }
-      best
+        toBreakdown(name, System.nanoTime() - t0, prof, recallSum / queries.length, unitBoundNs)
+      }.minBy(_.totalMs)
     }
 
     def measurePdx(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
       val prof = new SearchProfiler
       val searcher = new PdxSearcher(k, profiler = prof)
-      queries.foreach(q => idx.searchPdx(q, k, nprobe, pruner, searcher)) // warmup pass
-      val (totalNs, snap, recall) = bestPass(prof, () => {
-        var recallSum = 0.0
-        queries.indices.foreach { qi =>
-          val res = idx.searchPdx(queries(qi), k, nprobe, pruner, searcher, prof)
-          recallSum += VectorData.recall(res.map(_._1), gt(qi))
-        }
-        recallSum / queries.length
-      })
-      toBreakdown(name, totalNs, snap, queries.length, recall, boundsOverride = Double.NaN)
+      measure(name, prof, unitBoundNs = Double.NaN)(
+        q => idx.searchPdx(q, k, nprobe, pruner, searcher, prof))
     }
 
     def measureNary(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
       val prof = new SearchProfiler
       val searcher = new NarySearcher(k, deltaD = math.min(32, math.max(1, spec.d / 4)), profiler = prof)
-      queries.foreach(q => idx.searchNary(q, k, nprobe, pruner, searcher)) // warmup pass
-      val unitBound = calibrateBoundNanos(pruner, queries.head, spec.d)
-      val (totalNs, snap, recall) = bestPass(prof, () => {
-        var recallSum = 0.0
-        queries.indices.foreach { qi =>
-          val res = idx.searchNary(queries(qi), k, nprobe, pruner, searcher, prof)
-          recallSum += VectorData.recall(res.map(_._1), gt(qi))
-        }
-        recallSum / queries.length
-      })
-      toBreakdown(name, totalNs, snap, queries.length, recall,
-                  boundsOverride = snap.boundEvals * unitBound)
+      measure(name, prof, calibrateBoundNanos(pruner, queries.head, spec.d))(
+        q => idx.searchNary(q, k, nprobe, pruner, searcher, prof))
     }
 
-    def toBreakdown(name: String, totalNs: Long, prof: SearchProfiler, nq: Int,
-                    recall: Double, boundsOverride: Double): AlgoBreakdown = {
-      val boundsNs = if (boundsOverride.isNaN) prof.boundsNanos.toDouble else boundsOverride
+    def toBreakdown(name: String, totalNs: Long, prof: SearchProfiler,
+                    recall: Double, unitBoundNs: Double): AlgoBreakdown = {
+      val timed = unitBoundNs.isNaN
+      val boundsNs = if (timed) prof.boundsNanos.toDouble else prof.boundEvals * unitBoundNs
       val distNs0 =
-        if (boundsOverride.isNaN) prof.distanceNanos.toDouble
-        else math.max(0.0, prof.distanceNanos - boundsOverride)
+        if (timed) prof.distanceNanos.toDouble
+        else math.max(0.0, prof.distanceNanos - boundsNs)
       val accounted = distNs0 + prof.findBucketsNanos + boundsNs + prof.queryPrepNanos
       // Fold unaccounted time (heap, iteration) into Distance Calculation.
       val distNs = distNs0 + math.max(0.0, totalNs - accounted)
-      val toMs = 1e-6 / nq
+      val toMs = 1e-6 / queries.length
       AlgoBreakdown(name, totalNs * toMs, distNs * toMs, prof.findBucketsNanos * toMs,
                     boundsNs * toMs, prof.queryPrepNanos * toMs, recall)
     }

@@ -15,7 +15,8 @@ import repro.prune.Bond
   *                baseline;
   *  - `dsm`       fully decomposed layout linear scan;
   *  - `gather`    N-ary + on-the-fly transposition (§7);
-  *  - `pdx-linear` PDX linear scan (blocks of 64);
+  *  - `pdx-linear` PDX linear scan (blocks of 64): PDXearch with
+  *                `NeverPrune`, every block in START;
   *  - `pdx-bond`  PDXearch + PDX-BOND (distance-to-means) over horizontal
   *                partitions (paper: ≤10K vectors each; scaled to n/10 here
   *                so the exact search still has multiple blocks).
@@ -44,27 +45,16 @@ object ExactSearchBench {
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))
       val bond = new Bond(d, Bond.DistanceToMeans)
       val searcher = new PdxSearcher(k)
-
-      def qpsOf(f: Array[Float] => Unit): Double = {
-        queries.foreach(f) // warmup pass
-        val t0 = System.nanoTime()
-        var reps = 0
-        var elapsed = 0L
-        val minNs = if (quick) 50_000_000L else 400_000_000L
-        while (elapsed < minNs) {
-          queries.foreach(f)
-          reps += 1
-          elapsed = System.nanoTime() - t0
-        }
-        queries.length.toLong * reps * 1e9 / elapsed
-      }
+      val linear = Pruner.NeverPrune(d)
+      val minNs = if (quick) 50_000_000L else 400_000_000L
+      def qpsOf(f: Array[Float] => Unit): Double = BenchUtil.qps(queries, minNs)(f)
 
       val qps = Map(
         "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(nary, n, d, q, k).threshold)),
         "nary-scalar" -> qpsOf(q => BenchUtil.consume(LinearScan.naryScalarKnn(nary, n, d, q, k).threshold)),
         "dsm" -> qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, k).threshold)),
         "gather" -> qpsOf(q => BenchUtil.consume(LinearScan.gatherKnn(nary, n, d, q, k).threshold)),
-        "pdx-linear" -> qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks64, q, k).threshold)),
+        "pdx-linear" -> qpsOf(q => BenchUtil.consume(searcher.search(blocks64, q, linear).threshold)),
         "pdx-bond" -> qpsOf(q => BenchUtil.consume(searcher.search(bondBlocks, q, bond).threshold)),
       )
       Row(spec.label, qps)
@@ -93,21 +83,13 @@ object ExactSearchBench {
       val queries = VectorData.gaussian(if (quick) 2 else 5, d, seed = 4321L + n)
       val dsm = PdxLayout.packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
-      def qpsOf(f: Array[Float] => Unit): Double = {
-        queries.foreach(f)
-        val minNs = if (quick) 30_000_000L else 300_000_000L
-        val t0 = System.nanoTime()
-        var reps = 0
-        var elapsed = 0L
-        while (elapsed < minNs) {
-          queries.foreach(f)
-          reps += 1
-          elapsed = System.nanoTime() - t0
-        }
-        queries.length.toLong * reps * 1e9 / elapsed
-      }
-      val dsmQps = qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, 10).threshold))
-      val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, 10).threshold))
+      val minNs = if (quick) 30_000_000L else 300_000_000L
+      val searcher = new PdxSearcher(10)
+      val linear = Pruner.NeverPrune(d)
+      val dsmQps = BenchUtil.qps(queries, minNs)(q =>
+        BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, 10).threshold))
+      val pdxQps = BenchUtil.qps(queries, minNs)(q =>
+        BenchUtil.consume(searcher.search(blocks, q, linear).threshold))
       n -> pdxQps / dsmQps
     }
     val table = BenchUtil.markdownTable(

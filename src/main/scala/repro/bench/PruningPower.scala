@@ -1,84 +1,35 @@
 package repro.bench
 
-import repro.core.{KnnHeap, Pruner}
+import repro.core.{NaryBucket, NarySearcher, Pruner, SearchProfiler}
 
-/** Pruning-power simulation for Tables 2 and 6: a full scan per query that
-  * tries to prune at every dimension (Δd = 1), K = 10.
+/** Pruning power for Tables 2 and 6, K = 10: the share of dimension values
+  * (§2.3) the vector-at-a-time search never reads when it tests the bound
+  * after every dimension (Δd = 1), as the original ADSampling search does.
   *
-  * *Pruning power* = percentage of individual dimension values NOT used in
-  * distance calculations (§2.3). The scan walks the collection in storage
-  * order; the first k vectors fill the heap (all their dims count as used),
-  * then each vector accumulates its partial distance one dimension at a
-  * time — in the pruner's query-aware order when it defines one — testing
-  * the bound after every dimension and stopping at the first prune.
-  * Layout-independent by construction (it measures the algorithm, not the
-  * storage), which is exactly how the paper isolates pruning behaviour.
+  * It is a counter of the real search, not a model of it: the collection is
+  * one N-ary bucket in storage order, and each query runs
+  * `NarySearcher(k, deltaD = 1)` with a [[SearchProfiler]]; power is
+  * `1 − dimValuesScanned / (n·D)`. The first k vectors fill the heap (all
+  * their dims count as read); every later vector stops at its first prune,
+  * in the pruner's query-aware dimension order when it defines one.
   */
 object PruningPower {
 
-  /** Per-query pruning power (fraction in [0,1]) over the collection. */
+  /** Per-query pruning power (fraction in [0,1]) over the collection;
+    * `collectionMeans` drives the pruner's dimension order.
+    */
   def perQuery(vecsInSpace: IndexedSeq[Array[Float]], collectionMeans: Array[Float],
                pruner: Pruner, rawQueries: IndexedSeq[Array[Float]],
                k: Int = 10): IndexedSeq[Double] = {
-    val n = vecsInSpace.length
-    val d = vecsInSpace.head.length
-    // Full squared norms, for incremental suffix norms (BSA's bound input).
-    val sqNorms: Array[Double] =
-      if (pruner.needsSuffixNorms)
-        vecsInSpace.map { v =>
-          var s = 0.0; var j = 0
-          while (j < d) { s += v(j).toDouble * v(j); j += 1 }
-          s
-        }.toArray
-      else null
-
+    val bucket = NaryBucket.pack(vecsInSpace, vecsInSpace.indices.map(_.toLong),
+                                 pruner.needsSuffixNorms).copy(means = collectionMeans)
+    val values = bucket.n.toLong * bucket.d
+    val profiler = new SearchProfiler
+    val searcher = new NarySearcher(k, deltaD = 1, profiler)
     rawQueries.map { raw =>
-      val pq = pruner.prepareQuery(raw)
-      val q = pq.query
-      val order = pq.order(collectionMeans)
-      val heap = new KnnHeap(k)
-      var used = 0L
-      var i = 0
-      while (i < n) {
-        val v = vecsInSpace(i)
-        val tau = heap.threshold
-        if (tau == Float.PositiveInfinity) {
-          // Heap not yet full: full evaluation.
-          var dist = 0f
-          var j = 0
-          while (j < d) {
-            val dim = if (order == null) j else order(j)
-            val t = q(dim) - v(dim)
-            dist += t * t
-            j += 1
-          }
-          heap.push(i.toLong, dist)
-          used += d
-        } else {
-          var partial = 0f
-          var prefixSq = 0.0
-          var dv = 0
-          var prunedV = false
-          while (dv < d && !prunedV) {
-            val dim = if (order == null) dv else order(dv)
-            val x = v(dim)
-            val t = q(dim) - x
-            partial += t * t
-            if (sqNorms != null) prefixSq += x.toDouble * x
-            dv += 1
-            if (dv < d) {
-              val vs =
-                if (sqNorms == null) 0f
-                else math.max(0.0, sqNorms(i) - prefixSq).toFloat
-              if (pq.bound(partial, dv, vs) > tau) prunedV = true
-            }
-          }
-          used += dv
-          if (!prunedV) heap.push(i.toLong, partial)
-        }
-        i += 1
-      }
-      1.0 - used.toDouble / (n.toLong * d)
+      profiler.reset()
+      searcher.search(Iterator.single(bucket), raw, pruner)
+      1.0 - profiler.dimValuesScanned.toDouble / values
     }
   }
 

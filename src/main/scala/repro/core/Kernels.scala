@@ -108,25 +108,35 @@ object Kernels {
       case IP => ipScalar(a, o, q, d)
     }
 
-  /** Partial horizontal L2 over dims [d0, d1) — used by the N-ary pruned
-    * search that interleaves bounds every Δd dims. Unrolled like the full
-    * kernel: the paper SIMDizes the original ADSampling implementation "to
-    * compare it fairly to PDXearch" (§6.1), so the N-ary baseline gets the
-    * best horizontal form here too.
+  /** Partial horizontal L2 over positions [j0, j1) of the dimension order —
+    * used by the N-ary pruned search that interleaves bounds every Δd dims.
+    * `order == null` means sequential dimension access. Unrolled like the
+    * full kernel: the paper SIMDizes the original ADSampling implementation
+    * "to compare it fairly to PDXearch" (§6.1), so the N-ary baseline gets
+    * the best horizontal form here too.
     */
-  def l2PartialNary(a: Array[Float], o: Int, q: Array[Float], d0: Int, d1: Int): Float = {
+  def l2PartialNary(a: Array[Float], o: Int, q: Array[Float], j0: Int, j1: Int,
+                    order: Array[Int]): Float = {
     var s0 = 0f; var s1 = 0f; var s2 = 0f; var s3 = 0f
-    var i = d0
-    val lim = d1 - 3
-    while (i < lim) {
-      val t0 = q(i) - a(o + i)
-      val t1 = q(i + 1) - a(o + i + 1)
-      val t2 = q(i + 2) - a(o + i + 2)
-      val t3 = q(i + 3) - a(o + i + 3)
+    var j = j0
+    while (j + 3 < j1) {
+      val d0 = if (order == null) j else order(j)
+      val d1 = if (order == null) j + 1 else order(j + 1)
+      val d2 = if (order == null) j + 2 else order(j + 2)
+      val d3 = if (order == null) j + 3 else order(j + 3)
+      val t0 = q(d0) - a(o + d0)
+      val t1 = q(d1) - a(o + d1)
+      val t2 = q(d2) - a(o + d2)
+      val t3 = q(d3) - a(o + d3)
       s0 += t0 * t0; s1 += t1 * t1; s2 += t2 * t2; s3 += t3 * t3
-      i += 4
+      j += 4
     }
-    while (i < d1) { val t = q(i) - a(o + i); s0 += t * t; i += 1 }
+    while (j < j1) {
+      val d = if (order == null) j else order(j)
+      val t = q(d) - a(o + d)
+      s0 += t * t
+      j += 1
+    }
     s0 + s1 + s2 + s3
   }
 

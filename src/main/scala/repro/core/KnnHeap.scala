@@ -19,9 +19,12 @@ final class KnnHeap(val k: Int) {
   /** Current pruning threshold (k-th best distance, or +∞ if not full). */
   def threshold: Float = if (count == k) dists(0) else Float.PositiveInfinity
 
-  /** Offer a candidate; keeps the k smallest distances. Ties at the
-    * threshold are rejected (strictly-better semantics), matching the
-    * "prune if bound ≥ τ is safe only for >" convention used by PDXearch.
+  /** Offer a candidate; keeps the k smallest (distance, id) pairs. A tie
+    * at the threshold replaces the root only when its id is smaller, so the
+    * heap holds the same answer as `sorted` / Spark's `orderBy(dist, id)`
+    * whatever the arrival order — and per-partition heaps merge to the
+    * same top-k for any partitioning. Searchers prune strictly above τ, so
+    * tied vectors reach the heap.
     */
   def push(id: Long, dist: Float): Unit = {
     if (count < k) {
@@ -29,7 +32,7 @@ final class KnnHeap(val k: Int) {
       idArr(count) = id
       count += 1
       siftUp(count - 1)
-    } else if (dist < dists(0)) {
+    } else if (dist < dists(0) || (dist == dists(0) && id < idArr(0))) {
       dists(0) = dist
       idArr(0) = id
       siftDown(0)
@@ -40,7 +43,7 @@ final class KnnHeap(val k: Int) {
     var i = i0
     while (i > 0) {
       val parent = (i - 1) >> 1
-      if (dists(i) > dists(parent)) { swap(i, parent); i = parent }
+      if (above(i, parent)) { swap(i, parent); i = parent }
       else return
     }
   }
@@ -51,13 +54,17 @@ final class KnnHeap(val k: Int) {
       val l = 2 * i + 1
       val r = l + 1
       var largest = i
-      if (l < count && dists(l) > dists(largest)) largest = l
-      if (r < count && dists(r) > dists(largest)) largest = r
+      if (l < count && above(l, largest)) largest = l
+      if (r < count && above(r, largest)) largest = r
       if (largest == i) return
       swap(i, largest)
       i = largest
     }
   }
+
+  /** Max-heap order on (distance, id). */
+  @inline private def above(i: Int, j: Int): Boolean =
+    dists(i) > dists(j) || (dists(i) == dists(j) && idArr(i) > idArr(j))
 
   @inline private def swap(i: Int, j: Int): Unit = {
     val td = dists(i); dists(i) = dists(j); dists(j) = td

@@ -1,46 +1,35 @@
 package repro.core
 
 /** One IVF bucket (or partition) in the conventional horizontal layout:
-  * vector i occupies `data(i*d until (i+1)*d)`. `suffixSqNorms` mirrors the
-  * PDX block metadata for BSA (`suffixSqNorms(i*(d+1)+j) = Σ_{t≥j} v_i(t)²`).
+  * vector i occupies `data(i*d until (i+1)*d)`. `means` and `suffixSqNorms`
+  * mirror the PDX block metadata (per-dimension means for PDX-BOND's order;
+  * `suffixSqNorms(i*(d+1)+j) = Σ_{t≥j} v_i(t)²` for BSA).
   */
-final case class NaryBucket(ids: Array[Long], n: Int, d: Int,
-                            data: Array[Float], suffixSqNorms: Array[Float]) {
-  require(ids.length == n && data.length == n * d)
+final case class NaryBucket(ids: Array[Long], n: Int, d: Int, data: Array[Float],
+                            means: Array[Float], suffixSqNorms: Array[Float]) {
+  require(ids.length == n && data.length == n * d && means.length == d)
 }
 
 object NaryBucket {
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            withSuffixNorms: Boolean = false): NaryBucket = {
-    require(vecs.nonEmpty)
+    require(vecs.nonEmpty, "cannot pack an empty bucket")
+    require(vecs.length == ids.length, "vecs / ids length mismatch")
     val d = vecs.head.length
-    val data = PdxLayout.packNary(vecs)
-    val suffix =
-      if (!withSuffixNorms) Array.emptyFloatArray
-      else {
-        val s = new Array[Float](vecs.length * (d + 1))
-        var i = 0
-        while (i < vecs.length) {
-          val v = vecs(i)
-          val base = i * (d + 1)
-          var accD = 0.0
-          s(base + d) = 0f
-          var j = d - 1
-          while (j >= 0) { accD += v(j).toDouble * v(j); s(base + j) = accD.toFloat; j -= 1 }
-          i += 1
-        }
-        s
-      }
-    NaryBucket(ids.toArray, vecs.length, d, data, suffix)
+    val (means, suffix) = PdxLayout.groupStats(vecs, d, withSuffixNorms)
+    NaryBucket(ids.toArray, vecs.length, d, PdxLayout.packNary(vecs), means, suffix)
   }
 }
 
 /** The original ADSampling/BSA search strategy on horizontal storage:
   * vector-at-a-time, with the pruning bound evaluated every Δd dimensions,
   * interleaved with the distance computation (the branchy pattern §6.3
-  * profiles). τ tightens after every accepted vector.
+  * profiles). τ tightens after every accepted vector. Dimensions are visited
+  * in the pruner's order for the bucket's means, as in PDXearch.
   *
-  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in.
+  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, and —
+  * with Δd = 1 and a profiler — as the pruning-power counter of Tables 2
+  * and 6 (§2.3: the share of dimension values never read).
   */
 final class NarySearcher(val k: Int, val deltaD: Int = 32,
                          profiler: SearchProfiler = null) {
@@ -55,11 +44,14 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
 
   def searchPrepared(buckets: IterableOnce[NaryBucket], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
+    val q = pq.query
+    PreparedQuery.requireFinite(q)
     val it = buckets.iterator
     while (it.hasNext) {
       val b = it.next()
-      val q = pq.query
       val d = b.d
+      PreparedQuery.requireDims(q, d)
+      val order = pq.order(b.means)
       val stride = d + 1
       val suffix = b.suffixSqNorms
       val t0 = if (profiler ne null) System.nanoTime() else 0L
@@ -79,7 +71,7 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
         } else {
           while (dv < d && !prunedV) {
             val nd = math.min(d, dv + deltaD)
-            partial += Kernels.l2PartialNary(b.data, o, q, dv, nd)
+            partial += Kernels.l2PartialNary(b.data, o, q, dv, nd, order)
             dimValues += nd - dv
             dv = nd
             if (dv < d) {
@@ -105,9 +97,10 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
   }
 }
 
-/** Exact linear scans over each layout — the non-pruning competitors
-  * (FAISS / Milvus / USearch / sklearn stand-ins, DSM, PDX-LINEAR-SCAN,
-  * N-ary+Gather of §7).
+/** Exact linear scans over the non-PDX layouts — the non-pruning
+  * competitors (FAISS / Milvus / USearch / sklearn stand-ins, DSM,
+  * N-ary+Gather of §7). The PDX linear scan is PDXearch with
+  * [[Pruner.NeverPrune]], which runs every block through START.
   */
 object LinearScan {
 
@@ -129,22 +122,6 @@ object LinearScan {
     while (i < n) {
       heap.push(i.toLong, Kernels.l2Scalar(data, i * d, q, d))
       i += 1
-    }
-    heap
-  }
-
-  /** PDX linear scan: blocks of vectors, dimension-at-a-time, no pruning. */
-  def pdxKnn(blocks: IterableOnce[PdxBlock], q: Array[Float], k: Int): KnnHeap = {
-    val heap = new KnnHeap(k)
-    var acc = Array.emptyFloatArray
-    val it = blocks.iterator
-    while (it.hasNext) {
-      val b = it.next()
-      if (acc.length < b.n) acc = new Array[Float](b.n)
-      java.util.Arrays.fill(acc, 0, b.n, 0f)
-      Kernels.l2Pdx(b.data, b.n, q, 0, b.d, acc)
-      var i = 0
-      while (i < b.n) { heap.push(b.ids(i), acc(i)); i += 1 }
     }
     heap
   }

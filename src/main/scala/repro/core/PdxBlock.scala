@@ -69,60 +69,82 @@ object PdxLayout {
   /** Pack one group of vectors into a single block (bucket = block for IVF). */
   def packOne(group: Seq[Array[Float]], groupIds: Seq[Long], d: Int,
               withSuffixNorms: Boolean): PdxBlock = {
+    val (means, suffix) = groupStats(group, d, withSuffixNorms)
     val n = group.length
     val data = new Array[Float](n * d)
-    val meansD = new Array[Double](d)
     var i = 0
     group.foreach { v =>
-      require(v.length == d, s"ragged vector: ${v.length} != $d")
       var dim = 0
-      while (dim < d) {
-        val x = v(dim)
-        data(dim * n + i) = x
-        meansD(dim) += x
-        dim += 1
-      }
+      while (dim < d) { data(dim * n + i) = v(dim); dim += 1 }
       i += 1
     }
+    PdxBlock(groupIds.toArray, n, d, data, means, suffix)
+  }
+
+  /** The block metadata of a group of vectors, shared by both layouts:
+    * per-dimension means (double-accumulated, stored float) and, when
+    * requested, per-vector suffix squared norms laid out as
+    * `s(i * (d+1) + j)` (else empty).
+    *
+    * This is where every packed collection is validated: ragged and
+    * non-finite vectors are rejected, since a single NaN distance would
+    * otherwise sit at the root of every KNN heap and evict true neighbours.
+    */
+  private[core] def groupStats(group: Seq[Array[Float]], d: Int,
+                               withSuffixNorms: Boolean): (Array[Float], Array[Float]) = {
+    require(group.nonEmpty, "cannot pack an empty group of vectors")
+    val n = group.length
+    val meansD = new Array[Double](d)
+    val suffix = if (withSuffixNorms) new Array[Float](n * (d + 1)) else Array.emptyFloatArray
+    var i = 0
+    group.foreach { v =>
+      require(v != null, s"vector $i of the group is null")
+      require(v.length == d, s"ragged vector: vector $i has ${v.length} dimensions, expected $d")
+      var dim = 0
+      while (dim < d) { meansD(dim) += v(dim); dim += 1 }
+      if (withSuffixNorms) suffixSqNormsInto(v, suffix, i * (d + 1))
+      i += 1
+    }
+    // A sum of finite floats cannot overflow a double, so a non-finite sum
+    // flags a NaN or an infinity in that dimension.
     val means = new Array[Float](d)
     var dim = 0
-    while (dim < d) { means(dim) = (meansD(dim) / n).toFloat; dim += 1 }
-    val suffix =
-      if (!withSuffixNorms) Array.emptyFloatArray
-      else {
-        val s = new Array[Float]((d + 1) * n)
-        var i2 = 0
-        while (i2 < n) {
-          var accD = 0.0
-          val base = i2 * (d + 1)
-          s(base + d) = 0f
-          var j = d - 1
-          while (j >= 0) {
-            val x = data(j * n + i2).toDouble
-            accD += x * x
-            s(base + j) = accD.toFloat
-            j -= 1
-          }
-          i2 += 1
-        }
-        s
-      }
-    PdxBlock(groupIds.toArray, n, d, data, means, suffix)
+    while (dim < d) {
+      if (!java.lang.Double.isFinite(meansD(dim))) rejectNonFinite(group, dim)
+      means(dim) = (meansD(dim) / n).toFloat
+      dim += 1
+    }
+    (means, suffix)
+  }
+
+  private def rejectNonFinite(group: Seq[Array[Float]], dim: Int): Nothing = {
+    val i = group.indexWhere(v => !java.lang.Float.isFinite(v(dim)))
+    throw new IllegalArgumentException(
+      s"non-finite value ${group(i)(dim)} in vector $i, dimension $dim")
+  }
+
+  /** Suffix squared norms of one vector: `out(off + j) = Σ_{t≥j} v(t)²` for
+    * j in [0, d], accumulated in double from the last dimension down and
+    * stored float — the BSA bound's per-vector (and per-query) input.
+    */
+  private def suffixSqNormsInto(v: Array[Float], out: Array[Float], off: Int): Unit = {
+    val d = v.length
+    var acc = 0.0
+    out(off + d) = 0f
+    var j = d - 1
+    while (j >= 0) { acc += v(j).toDouble * v(j); out(off + j) = acc.toFloat; j -= 1 }
   }
 
   /** Unpack a block back to (id, vector) pairs — inverse of pack. */
   def unpack(b: PdxBlock): IndexedSeq[(Long, Array[Float])] =
     (0 until b.n).map(i => (b.ids(i), b.vectorAt(i)))
 
-  /** Per-vector query suffix squared norms for the BSA bound:
-    * out(j) = Σ_{t≥j} q(t)², length d+1.
+  /** Query suffix squared norms for the BSA bound: out(j) = Σ_{t≥j} q(t)²,
+    * length d+1.
     */
   def querySuffixSqNorms(q: Array[Float]): Array[Float] = {
-    val d = q.length
-    val out = new Array[Float](d + 1)
-    var acc = 0.0
-    var j = d - 1
-    while (j >= 0) { acc += q(j).toDouble * q(j); out(j) = acc.toFloat; j -= 1 }
+    val out = new Array[Float](q.length + 1)
+    suffixSqNormsInto(q, out, 0)
     out
   }
 
@@ -162,15 +184,6 @@ object PdxLayout {
     */
   def globalMeans(vecs: IndexedSeq[Array[Float]]): Array[Float] = {
     require(vecs.nonEmpty)
-    val d = vecs.head.length
-    val acc = new Array[Double](d)
-    vecs.foreach { v =>
-      var dim = 0
-      while (dim < d) { acc(dim) += v(dim); dim += 1 }
-    }
-    val out = new Array[Float](d)
-    var dim = 0
-    while (dim < d) { out(dim) = (acc(dim) / vecs.length).toFloat; dim += 1 }
-    out
+    groupStats(vecs, vecs.head.length, withSuffixNorms = false)._1
   }
 }

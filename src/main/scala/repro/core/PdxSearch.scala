@@ -4,7 +4,10 @@ package repro.core
   *
   * Phases per query:
   *  - START:  the first block(s) are scanned linearly (no pruning) until the
-  *    KNN heap holds k candidates, establishing the pruning threshold τ;
+  *    KNN heap holds k candidates, establishing the pruning threshold τ —
+  *    and so is every block of at most the pruner's `minPruneDims`
+  *    dimensions, where no bound could fire (with [[Pruner.NeverPrune]],
+  *    PDXearch is the PDX linear scan);
   *  - WARMUP: subsequent blocks fetch dimensions at adaptively growing steps
   *    (2, 4, 8, …), computing partial distances for *all* vectors (pruned
   *    ones included — random access would cost more than it saves while
@@ -58,10 +61,12 @@ final class PdxSearcher(
     */
   def searchPrepared(blocks: IterableOnce[PdxBlock], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
+    PreparedQuery.requireFinite(pq.query)
     val it = blocks.iterator
     while (it.hasNext) {
       val block = it.next()
-      if (!heap.isFull) startBlock(block, pq, heap)
+      PreparedQuery.requireDims(pq.query, block.d)
+      if (!heap.isFull || pq.minPruneDims >= block.d) startBlock(block, pq, heap)
       else scanBlock(block, pq, heap)
     }
     heap

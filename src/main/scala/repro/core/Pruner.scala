@@ -16,7 +16,8 @@ trait PreparedQuery {
   def query: Array[Float]
 
   /** Query-aware dimension visit order given per-block dimension means;
-    * `null` means sequential access (ADSampling, BSA).
+    * `null` means sequential access (ADSampling, BSA). Stored suffix norms
+    * follow the sequential order, so pruners that need them return `null`.
     */
   def order(means: Array[Float]): Array[Int]
 
@@ -30,7 +31,8 @@ trait PreparedQuery {
   /** Dims the algorithm wants scanned before its first pruning attempt —
     * the Δd of the ADSampling/BSA dual-block layout (§2.3). PDXearch sizes
     * its first WARMUP step to at least this, so no predicate passes are
-    * wasted where the bound cannot fire. 0 = prune from the first step.
+    * wasted where the bound cannot fire; at or above a block's `d` it scans
+    * the block linearly (START). 0 = prune from the first step.
     */
   def minPruneDims: Int = 0
 
@@ -41,6 +43,31 @@ trait PreparedQuery {
     * from templates.
     */
   def isPartialBound: Boolean = false
+}
+
+object PreparedQuery {
+
+  /** Searchers check their query once per search: a NaN or an infinity
+    * turns distances into NaN or +∞, which neither the bounds nor the KNN
+    * heap can rank.
+    */
+  def requireFinite(query: Array[Float]): Unit = {
+    var j = 0
+    while (j < query.length) {
+      if (!java.lang.Float.isFinite(query(j)))
+        throw new IllegalArgumentException(
+          s"non-finite query value ${query(j)} in dimension $j")
+      j += 1
+    }
+  }
+
+  /** Searchers check every block: a shorter query overruns the kernels, a
+    * longer one would silently be answered for its first `d` dimensions.
+    */
+  @inline def requireDims(query: Array[Float], d: Int): Unit =
+    if (query.length != d)
+      throw new IllegalArgumentException(
+        s"query has ${query.length} dimensions but the data has $d")
 }
 
 /** A dimension-pruning strategy: data-space transform + per-query bound.
@@ -73,7 +100,9 @@ trait Pruner extends Serializable {
 object Pruner {
 
   /** Sequential, never-pruning pruner: drives PDXearch as a plain PDX
-    * linear scan (the PDX-LINEAR-SCAN competitor of §6.5).
+    * linear scan (the PDX-LINEAR-SCAN competitor of §6.5). Its
+    * `minPruneDims` is the full dimensionality, so PDXearch takes START
+    * for every block.
     */
   final case class NeverPrune(d: Int) extends Pruner {
     val name = "linear"
@@ -81,21 +110,9 @@ object Pruner {
     def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
       val query: Array[Float] = q
       def order(means: Array[Float]): Array[Int] = null
+      override def minPruneDims: Int = d
       def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float =
         Float.NegativeInfinity
-    }
-  }
-
-  /** Exact partial-distance pruner with sequential access — the simplest
-    * lower bound (§2.3: "the partially computed distance itself").
-    */
-  final case class PartialDistance(d: Int) extends Pruner {
-    val name = "partial-seq"
-    val isExact = true
-    def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
-      val query: Array[Float] = q
-      def order(means: Array[Float]): Array[Int] = null
-      def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
     }
   }
 }

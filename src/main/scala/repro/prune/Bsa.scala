@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{PreparedQuery, Pruner}
+import repro.core.{PdxLayout, PreparedQuery, Pruner}
 import repro.linalg.Mat
 
 /** BSA [Yang et al. 2024] reproduction: PCA projection of the collection
@@ -68,11 +68,7 @@ final class Bsa(val d: Int, val multiplier: Double,
 
   def prepareQuery(q: Array[Float]): PreparedQuery = {
     val rotated = basis.mulVecF(center(q))
-    // Query suffix squared norms: qs(j) = Σ_{t≥j} q'(t)².
-    val qs = new Array[Float](d + 1)
-    var acc = 0.0
-    var j = d - 1
-    while (j >= 0) { acc += rotated(j).toDouble * rotated(j); qs(j) = acc.toFloat; j -= 1 }
+    val qs = PdxLayout.querySuffixSqNorms(rotated) // qs(j) = Σ_{t≥j} q'(t)²
     new PreparedQuery {
       val query: Array[Float] = rotated
       def order(means: Array[Float]): Array[Int] = null

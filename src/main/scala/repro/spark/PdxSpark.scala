@@ -62,8 +62,9 @@ object PdxSpark {
         it.grouped(blockSize).zipWithIndex.map { case (group, ord) =>
           val vecs = group.map(_._2).toIndexedSeq
           val ids = group.map(_._1).toIndexedSeq
+          val d = Option(vecs.head).fold(0)(_.length) // packOne reports a null vector
           PdxBlockRow.from(part << 32 | ord.toLong,
-                           PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+                           PdxLayout.packOne(vecs, ids, d, withSuffixNorms))
         }
       }
   }
@@ -71,32 +72,30 @@ object PdxSpark {
   /** Exact distributed KNN: per-partition PDX linear scan, global top-k.
     * Returns (id LONG, dist DOUBLE) sorted ascending by (dist, id).
     */
-  def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
-    val spark = blocks.sparkSession
-    import spark.implicits._
-    blocks
-      .mapPartitions { it =>
-        val heap = LinearScan.pdxKnn(it.map(_.toBlock), query, k)
-        heap.sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
-      }
-      .toDF("id", "dist")
-      .orderBy(col("dist"), col("id"))
-      .limit(k)
-  }
+  def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame =
+    knn(blocks, query, k, Pruner.NeverPrune(query.length))
 
   /** Distributed PDX-BOND KNN: per-partition PDXearch with the exact
     * partial-distance pruner and query-aware dimension order; global top-k.
     * Exact — equals `knnExact` up to float tie noise.
     */
   def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int,
-              criteria: Bond.Criteria = Bond.DistanceToMeans): DataFrame = {
+              criteria: Bond.Criteria = Bond.DistanceToMeans): DataFrame =
+    knn(blocks, query, k, new Bond(query.length, criteria))
+
+  /** Per-partition PDXearch with `pruner`, merged by (dist, id). The query
+    * is checked here, before any job runs; its dimensionality against the
+    * blocks' is checked by the searcher in the tasks, where `d` is known.
+    */
+  private def knn(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int,
+                  pruner: Pruner): DataFrame = {
+    require(k > 0, s"k must be positive, got $k")
+    PreparedQuery.requireFinite(query)
     val spark = blocks.sparkSession
     import spark.implicits._
-    val d = query.length
     blocks
       .mapPartitions { it =>
-        val searcher = new PdxSearcher(k)
-        val heap = searcher.search(it.map(_.toBlock), query, new Bond(d, criteria))
+        val heap = new PdxSearcher(k).search(it.map(_.toBlock), query, pruner)
         heap.sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
       }
       .toDF("id", "dist")

@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.Kernels
+import repro.core.{Kernels, PreparedQuery, Pruner}
 
 /** Shared assertions for search-result exactness.
   *
@@ -49,5 +49,30 @@ object TestUtil {
                      q: Array[Float], k: Int): Unit = {
     val c = checkExactKnn(result, vecs, q, k)
     assert(c.ok, c.message)
+  }
+
+  /** Exact partial-distance pruner with sequential access (§2.3: "the
+    * partially computed distance itself"). It is `Bond(d, Sequential)`
+    * without declaring `isPartialBound`, so it drives the searchers'
+    * generic bound loops rather than PDX-BOND's fast path.
+    */
+  final case class PartialDistance(d: Int) extends Pruner {
+    val name = "partial-seq"
+    val isExact = true
+    def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+      val query: Array[Float] = q
+      def order(means: Array[Float]): Array[Int] = null
+      def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
+    }
+  }
+
+  /** A search with k above the collection size returns every vector, with
+    * its exact distance, ascending by (dist, id).
+    */
+  def assertAllInOrder(result: Seq[(Long, Float)], vecs: IndexedSeq[Array[Float]],
+                       q: Array[Float]): Unit = {
+    assert(result.map(_._1).sorted == vecs.indices.map(_.toLong), "not every vector returned")
+    assert(result == result.sortBy { case (id, dist) => (dist, id) }, "not in (dist, id) order")
+    assertExactKnn(result, vecs, q, vecs.length)
   }
 }

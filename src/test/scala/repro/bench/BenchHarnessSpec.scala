@@ -34,6 +34,27 @@ class BenchHarnessSpec extends AnyFunSuite {
     assert(t.contains("PDX-BOND"))
   }
 
+  // Pruning power is a deterministic count, so its 1-decimal cells are
+  // pinned: a change that moves them must say so. Best / p50 / p25 / Worst.
+  private def cells(tbl: Map[String, PruningPower.Summary]): Map[String, Seq[String]] =
+    tbl.map { case (label, s) => label -> Seq(s.best, s.p50, s.p25, s.worst).map(BenchUtil.f1) }
+
+  test("PruningTables.table2 cells at quick scale are pinned") {
+    assert(cells(PruningTables.table2(quick)._2) == Map(
+      "NYTimes/16" -> Seq("31.5", "25.0", "23.1", "21.7"),
+      "GloVe/50" -> Seq("42.9", "22.9", "21.4", "17.9"),
+      "DEEP/96" -> Seq("58.1", "28.2", "9.9", "5.3"),
+      "SIFT/128" -> Seq("70.0", "55.2", "54.1", "53.9")))
+  }
+
+  test("PruningTables.table6 cells at quick scale are pinned") {
+    assert(cells(PruningTables.table6(quick)._2) == Map(
+      "NYTimes/16" -> Seq("67.0", "62.5", "62.1", "58.2"),
+      "GloVe/50" -> Seq("61.6", "45.4", "42.7", "41.4"),
+      "DEEP/96" -> Seq("67.9", "42.6", "40.2", "28.9"),
+      "SIFT/128" -> Seq("85.8", "81.1", "79.3", "78.2")))
+  }
+
   test("KernelBench.measure returns positive timings and sane speedups") {
     val m = KernelBench.measure(repro.core.Kernels.L2, KernelBench.Combo(16, 512), quick = true)
     assert(m.naryNanos > 0 && m.pdxNanos > 0 && m.scalarNanos > 0 && m.gatherNanos > 0)

@@ -45,7 +45,9 @@ class BenchUtilSpec extends AnyFunSuite {
   test("report writes bench_results file") {
     BenchUtil.report("selftest", "hello")
     val p = java.nio.file.Paths.get("bench_results", "selftest.md")
-    assert(java.nio.file.Files.exists(p))
-    assert(new String(java.nio.file.Files.readAllBytes(p), "UTF-8") == "hello")
+    try {
+      assert(java.nio.file.Files.exists(p))
+      assert(new String(java.nio.file.Files.readAllBytes(p), "UTF-8") == "hello")
+    } finally java.nio.file.Files.deleteIfExists(p)
   }
 }

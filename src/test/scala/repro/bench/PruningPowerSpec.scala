@@ -1,7 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{PdxLayout, Pruner}
+import repro.TestUtil
+import repro.core.{NaryBucket, NarySearcher, PdxLayout, Pruner}
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond}
 
@@ -56,13 +57,18 @@ class PruningPowerSpec extends AnyFunSuite {
   }
 
   test("exact pruning preserves the KNN result (power simulation is faithful)") {
-    // The simulation's own heap must end with the true KNN for exact pruners.
+    // perQuery counts a NarySearcher(k, deltaD = 1) run: that same search
+    // must return the exact KNN, and its count must repeat.
     val ds = clustered(400, 24, seed = 6)
     val means = PdxLayout.globalMeans(ds.vectors)
-    // Run with a pruner wrapper that also records the final heap via power==deterministic rerun:
-    // simpler: perQuery only returns power, so check it doesn't throw and is consistent across runs.
-    val a = PruningPower.perQuery(ds.vectors, means, new Bond(24, Bond.DistanceToMeans), ds.queries)
-    val b = PruningPower.perQuery(ds.vectors, means, new Bond(24, Bond.DistanceToMeans), ds.queries)
+    val bond = new Bond(24, Bond.DistanceToMeans)
+    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    ds.queries.foreach { q =>
+      TestUtil.assertExactKnn(new NarySearcher(10, 1).search(Seq(bucket), q, bond).sorted,
+                              ds.vectors, q, 10)
+    }
+    val a = PruningPower.perQuery(ds.vectors, means, bond, ds.queries)
+    val b = PruningPower.perQuery(ds.vectors, means, bond, ds.queries)
     assert(a == b)
   }
 }

@@ -126,10 +126,27 @@ class KernelsSpec extends AnyFunSuite {
     val nary = PdxLayout.packNary(vecs)
     vecs.indices.foreach { i =>
       val full = Kernels.l2Scalar(nary, i * d, q, d)
-      val parts = Kernels.l2PartialNary(nary, i * d, q, 0, 13) +
-        Kernels.l2PartialNary(nary, i * d, q, 13, 37) +
-        Kernels.l2PartialNary(nary, i * d, q, 37, d)
+      val parts = Kernels.l2PartialNary(nary, i * d, q, 0, 13, null) +
+        Kernels.l2PartialNary(nary, i * d, q, 13, 37, null) +
+        Kernels.l2PartialNary(nary, i * d, q, 37, d, null)
       assert(math.abs(full - parts) <= relTol(full, d))
+    }
+  }
+
+  test("ordered l2PartialNary visits order(j0 until j1)") {
+    val d = 50
+    val vecs = VectorData.gaussian(10, d, seed = 16)
+    val q = VectorData.gaussian(1, d, seed = 17).head
+    val order = new scala.util.Random(18).shuffle((0 until d).toVector).toArray
+    val nary = PdxLayout.packNary(vecs)
+    vecs.indices.foreach { i =>
+      for ((j0, j1) <- Seq((0, 13), (13, 37), (37, d))) {
+        val expect = (j0 until j1).map { j =>
+          val t = q(order(j)).toDouble - vecs(i)(order(j)); t * t
+        }.sum
+        val got = Kernels.l2PartialNary(nary, i * d, q, j0, j1, order)
+        assert(math.abs(got - expect) <= relTol(expect, d), s"[$j0, $j1)")
+      }
     }
   }
 

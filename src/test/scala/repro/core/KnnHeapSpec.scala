@@ -27,6 +27,15 @@ class KnnHeapSpec extends AnyFunSuite {
     assert(h.idsSorted == Seq(1L, 2L))
   }
 
+  test("ties at the threshold keep the smallest ids, whatever the arrival order") {
+    for (order <- Seq((0L until 30L).reverse, 0L until 30L,
+                      new scala.util.Random(3).shuffle((0L until 30L).toVector))) {
+      val h = new KnnHeap(10)
+      order.foreach(id => h.push(id, 0f))
+      assert(h.sorted == (0L until 10L).map(id => (id, 0f)), order.toString)
+    }
+  }
+
   test("k larger than inserts keeps everything") {
     val h = new KnnHeap(10)
     h.push(1, 3f); h.push(2, 1f)

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.data.VectorData
-import repro.prune.{AdSampling, Bsa}
+import repro.prune.{AdSampling, Bond, Bsa}
 
 class NarySearchSpec extends AnyFunSuite {
 
@@ -32,10 +32,88 @@ class NarySearchSpec extends AnyFunSuite {
       )
       val searcher = new NarySearcher(10, deltaD)
       ds.queries.foreach { q =>
-        val heap = searcher.search(buckets, q, Pruner.PartialDistance(d))
+        val heap = searcher.search(buckets, q, TestUtil.PartialDistance(d))
         TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
       }
     }
+  }
+
+  for (crit <- Seq(Bond.Sequential, Bond.Decreasing, Bond.DistanceToMeans, Bond.DimensionZones);
+       deltaD <- Seq(1, 8)) {
+    test(s"NarySearcher + PDX-BOND(${crit.label}) is exact (deltaD=$deltaD)") {
+      val d = 48
+      val ds = clustered(800, d, seed = 7, skewed = true)
+      val buckets = Seq(
+        NaryBucket.pack(ds.vectors.take(500), ds.ids.take(500)),
+        NaryBucket.pack(ds.vectors.drop(500), ds.ids.drop(500))
+      )
+      val searcher = new NarySearcher(10, deltaD)
+      ds.queries.foreach { q =>
+        val heap = searcher.search(buckets, q, new Bond(d, crit))
+        TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
+      }
+    }
+  }
+
+  test("NarySearcher visits dimensions in the pruner's order for the bucket means") {
+    // A probe pruner that reverses the dimensions and records, per bound
+    // call, the partial distance it is handed.
+    val d = 16
+    val ds = clustered(200, d, seed = 19)
+    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    val reversed = Array.tabulate(d)(j => d - 1 - j)
+    var seenMeans: Array[Float] = null
+    val partials = scala.collection.mutable.ArrayBuffer.empty[(Int, Float)]
+    val probe = new Pruner {
+      val name = "probe"
+      val isExact = true
+      val d: Int = 16
+      def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+        val query: Array[Float] = q
+        def order(means: Array[Float]): Array[Int] = { seenMeans = means; reversed }
+        def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = {
+          partials += ((dimsVisited, partial))
+          Float.NegativeInfinity
+        }
+      }
+    }
+    val q = ds.queries.head
+    new NarySearcher(1, deltaD = 1).search(Seq(bucket), q, probe)
+    assert(seenMeans eq bucket.means)
+    // Vector 0 fills the heap; vector 1 is the first whose bound is asked.
+    val v = ds.vectors(1)
+    var expect = 0f
+    (1 until d).foreach { dv =>
+      val dim = reversed(dv - 1)
+      val t = q(dim) - v(dim)
+      expect += t * t
+      assert(partials(dv - 1) == ((dv, expect)), s"dv=$dv")
+    }
+  }
+
+  test("k larger than the collection returns every vector in (dist, id) order") {
+    val d = 12
+    val ds = clustered(40, d, seed = 37)
+    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    val q = ds.queries.head
+    TestUtil.assertAllInOrder(new NarySearcher(100, 4).search(Seq(bucket), q, new Bond(d)).sorted,
+                              ds.vectors, q)
+  }
+
+  test("NarySearcher rejects a mismatched or non-finite query") {
+    val ds = clustered(200, 8, seed = 21)
+    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    val searcher = new NarySearcher(10, 4)
+    for (qd <- Seq(5, 12)) {
+      val e = intercept[IllegalArgumentException] {
+        searcher.search(Seq(bucket), new Array[Float](qd), new Bond(8, Bond.Sequential))
+      }
+      assert(e.getMessage.contains(s"query has $qd dimensions but the data has 8"))
+    }
+    val q = ds.queries.head.clone()
+    q(2) = Float.NaN
+    val e = intercept[IllegalArgumentException](searcher.search(Seq(bucket), q, new Bond(8)))
+    assert(e.getMessage.contains("dimension 2"), e.getMessage)
   }
 
   test("NarySearcher + BSA(m=1) is exact") {
@@ -71,8 +149,8 @@ class NarySearchSpec extends AnyFunSuite {
     val nb = NaryBucket.pack(ds.vectors, ds.ids)
     val pb = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val q = ds.queries.head
-    val a = new NarySearcher(10, 8).search(Seq(nb), q, Pruner.PartialDistance(d)).idsSorted
-    val b = new PdxSearcher(10).search(pb, q, Pruner.PartialDistance(d)).idsSorted
+    val a = new NarySearcher(10, 8).search(Seq(nb), q, TestUtil.PartialDistance(d)).idsSorted
+    val b = new PdxSearcher(10).search(pb, q, TestUtil.PartialDistance(d)).idsSorted
     assert(a.toSet == b.toSet)
   }
 
@@ -82,7 +160,7 @@ class NarySearchSpec extends AnyFunSuite {
     val prof = new SearchProfiler
     val searcher = new NarySearcher(10, 16, profiler = prof)
     val bucket = NaryBucket.pack(ds.vectors, ds.ids)
-    searcher.search(Seq(bucket), ds.queries.head, Pruner.PartialDistance(d))
+    searcher.search(Seq(bucket), ds.queries.head, TestUtil.PartialDistance(d))
     assert(prof.dimValuesScanned > 0 && prof.dimValuesScanned <= 800L * d)
     assert(prof.distanceNanos > 0)
   }
@@ -99,7 +177,8 @@ class NarySearchSpec extends AnyFunSuite {
       TestUtil.assertExactKnn(LinearScan.naryKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.naryScalarKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.dsmKnn(dsm, 500, q, 10).sorted, ds.vectors, q, 10)
-      TestUtil.assertExactKnn(LinearScan.pdxKnn(blocks, q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(new PdxSearcher(10).search(blocks, q, Pruner.NeverPrune(d)).sorted,
+                              ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.gatherKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
     }
   }

@@ -137,4 +137,40 @@ class PdxLayoutSpec extends AnyFunSuite {
       PdxBlock(Array(0L, 1L), 1, 1, Array(1f), Array(1f), Array.emptyFloatArray)
     }
   }
+
+  test("pack and NaryBucket.pack reject NaN and infinite values, naming the vector") {
+    // A NaN vector would become the KNN heap root for good, and every
+    // search would return the first k ids it met.
+    val d = 8
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); at <- Seq(0, 101)) {
+      val vecs = VectorData.gaussian(200, d, seed = 83)
+      vecs(at)(5) = bad
+      val ids = vecs.indices.map(_.toLong)
+      val msg = s"non-finite value $bad in vector $at, dimension 5"
+      val e1 = intercept[IllegalArgumentException](PdxLayout.pack(vecs, ids, 1000))
+      assert(e1.getMessage.contains(msg), e1.getMessage)
+      val e2 = intercept[IllegalArgumentException](NaryBucket.pack(vecs, ids))
+      assert(e2.getMessage.contains(msg), e2.getMessage)
+    }
+  }
+
+  test("NaryBucket.pack rejects ragged vectors") {
+    val vecs = IndexedSeq(Array(1f, 2f, 3f), Array(1f, 2f))
+    val e = intercept[IllegalArgumentException](NaryBucket.pack(vecs, IndexedSeq(0L, 1L)))
+    assert(e.getMessage.contains("vector 1 has 2 dimensions, expected 3"), e.getMessage)
+  }
+
+  test("NaryBucket metadata is bit-identical to the PDX block's") {
+    val vecs = VectorData.gaussian(77, 19, seed = 84)
+    val ids = vecs.indices.map(_.toLong)
+    val nb = NaryBucket.pack(vecs, ids, withSuffixNorms = true)
+    val pb = PdxLayout.pack(vecs, ids, 100, withSuffixNorms = true).head
+    assert(nb.means.toSeq == pb.means.toSeq)
+    assert(nb.suffixSqNorms.toSeq == pb.suffixSqNorms.toSeq)
+    assert(nb.means.toSeq == PdxLayout.globalMeans(vecs).toSeq)
+    vecs.indices.foreach { i =>
+      assert(PdxLayout.querySuffixSqNorms(vecs(i)).toSeq ==
+               nb.suffixSqNorms.slice(i * 20, (i + 1) * 20).toSeq)
+    }
+  }
 }

@@ -22,7 +22,7 @@ class PdxSearchSpec extends AnyFunSuite {
       val blocks = PdxLayout.pack(ds.vectors, ds.ids, bs)
       val searcher = new PdxSearcher(k)
       ds.queries.foreach { q =>
-        val heap = searcher.search(blocks, q, Pruner.PartialDistance(d))
+        val heap = searcher.search(blocks, q, TestUtil.PartialDistance(d))
         TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, k)
       }
     }
@@ -41,15 +41,17 @@ class PdxSearchSpec extends AnyFunSuite {
     }
   }
 
-  test("PDXearch + NeverPrune equals a PDX linear scan") {
+  test("PDXearch + NeverPrune equals brute force, scanning every block in START") {
     val d = 20
     val ds = clustered(500, d, seed = 11)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-    val searcher = new PdxSearcher(10)
+    val prof = new SearchProfiler
+    val searcher = new PdxSearcher(10, profiler = prof)
     ds.queries.foreach { q =>
-      val a = searcher.search(blocks, q, Pruner.NeverPrune(d)).sorted
-      val b = LinearScan.pdxKnn(blocks, q, 10).sorted
-      assert(a.map(_._1) == b.map(_._1))
+      prof.reset()
+      TestUtil.assertExactKnn(searcher.search(blocks, q, Pruner.NeverPrune(d)).sorted,
+                              ds.vectors, q, 10)
+      assert(prof.dimValuesScanned == 500L * d && prof.boundEvals == 0)
     }
   }
 
@@ -152,8 +154,53 @@ class PdxSearchSpec extends AnyFunSuite {
     val ds = clustered(40, d, seed = 37)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 16)
     val searcher = new PdxSearcher(100)
-    val heap = searcher.search(blocks, ds.queries.head, new Bond(d))
+    val q = ds.queries.head
+    val heap = searcher.search(blocks, q, new Bond(d))
     assert(heap.size == 40)
+    TestUtil.assertAllInOrder(heap.sorted, ds.vectors, q)
+  }
+
+  // --- hostile input: fail fast, never a silently wrong answer ---
+
+  private lazy val small = clustered(200, 8, seed = 59)
+
+  for ((label, pruner) <- Seq("PDX-BOND" -> new Bond(8, Bond.Sequential),
+                              "NeverPrune" -> Pruner.NeverPrune(8))) {
+    test(s"$label rejects a query whose dimensionality does not match the blocks") {
+      val blocks = PdxLayout.pack(small.vectors, small.ids, 64)
+      for (qd <- Seq(5, 12)) {
+        val e = intercept[IllegalArgumentException] {
+          new PdxSearcher(10).search(blocks, new Array[Float](qd), pruner)
+        }
+        assert(e.getMessage.contains(s"query has $qd dimensions but the data has 8"))
+      }
+    }
+
+    test(s"$label rejects a non-finite query") {
+      val blocks = PdxLayout.pack(small.vectors, small.ids, 64)
+      for (bad <- Seq(Float.NaN, Float.PositiveInfinity)) {
+        val q = small.queries.head.clone()
+        q(3) = bad
+        val e = intercept[IllegalArgumentException] {
+          new PdxSearcher(10).search(blocks, q, pruner)
+        }
+        assert(e.getMessage.contains("dimension 3"), e.getMessage)
+      }
+    }
+  }
+
+  test("ties at the k-th distance keep the smallest ids for every block size") {
+    // 30 copies of the query stored with descending ids, among 200 others.
+    val d = 8
+    val q = small.queries.head
+    val vecs = IndexedSeq.fill(30)(q.clone()) ++ small.vectors
+    val ids = (0L until 30L).reverse ++ (100L until 300L)
+    for (bs <- Seq(8, 64, 1000);
+         pruner <- Seq(Pruner.NeverPrune(d), new Bond(d, Bond.DistanceToMeans))) {
+      val blocks = PdxLayout.pack(vecs, ids, bs)
+      val got = new PdxSearcher(10).search(blocks, q, pruner).sorted
+      assert(got == (0L until 10L).map(id => (id, 0f)), s"blockSize=$bs ${pruner.name}")
+    }
   }
 
   test("single-vector blocks work") {

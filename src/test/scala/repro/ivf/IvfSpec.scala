@@ -81,6 +81,17 @@ class IvfSpec extends AnyFunSuite {
     assert(all.sorted.toSeq == ds.ids.sorted)
   }
 
+  test("materialize rejects a non-finite vector in search space") {
+    val ds = clustered(200, 8, seed = 24)
+    val part = Ivf.partition(ds.vectors, nlist = 4)
+    val space = ds.vectors.map(_.clone())
+    space(57)(3) = Float.NaN
+    val e = intercept[IllegalArgumentException] {
+      IvfIndex.materialize(part, space, ds.ids, part.rawCentroids, withSuffixNorms = false)
+    }
+    assert(e.getMessage.contains("non-finite value NaN"), e.getMessage)
+  }
+
   test("bucketOf maps centroids to blocks consistently") {
     val ds = clustered(200, 6, seed = 25)
     val part = Ivf.partition(ds.vectors, nlist = 20)

@@ -236,12 +236,4 @@ class PrunerSpec extends AnyFunSuite {
     val pq = Pruner.NeverPrune(5).prepareQuery(new Array[Float](5))
     assert(pq.bound(1e30f, 3, 0f) == Float.NegativeInfinity)
   }
-
-  test("PartialDistance bound is exact and sequential") {
-    val p = Pruner.PartialDistance(5)
-    assert(p.isExact)
-    val pq = p.prepareQuery(new Array[Float](5))
-    assert(pq.order(new Array[Float](5)) == null)
-    assert(pq.bound(2f, 1, 0f) == 2f)
-  }
 }

@@ -91,16 +91,86 @@ class PdxSparkSpec extends SparkSpec {
     assert(res == gt)
   }
 
-  test("knnExact works with SynthData.embeddings input") {
-    val df = repro.SynthData.embeddings(spark, n = 500, d = 16, clusters = 8, seed = 77)
-    val blocks = PdxSpark.pack(df, 64).cache()
-    val local = df.collect().map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
-      .sortBy(_._1).map(_._2).toIndexedSeq
+  test("knnExact works with VectorData.generate input") {
+    val local = VectorData.generate(
+      VectorData.DatasetSpec("gen", 16, 500, 1, skewed = false, clusters = 8, seed = 77)).vectors
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, local, numPartitions = 3), 64).cache()
     val q = local.head // self-query: nearest must include id 0 at distance 0
     val res = PdxSpark.knnExact(blocks, q, 5).collect()
     assert(res.head.getLong(0) == 0L)
     assert(res.head.getDouble(1) < 1e-6)
     TestUtil.assertExactKnn(res.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, local, q, 5)
     blocks.unpersist()
+  }
+
+  private def rows(df: org.apache.spark.sql.DataFrame): Seq[(Long, Float)] =
+    df.collect().map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq
+
+  test("knnExact and knnBond stay exact with more partitions than rows") {
+    val vecs = ds.vectors.take(30)
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, numPartitions = 48), 8).cache()
+    assert(blocks.rdd.mapPartitions(it => Iterator.single(it.size)).collect().contains(0))
+    ds.queries.foreach { q =>
+      TestUtil.assertExactKnn(rows(PdxSpark.knnExact(blocks, q, 10)), vecs, q, 10)
+      TestUtil.assertExactKnn(rows(PdxSpark.knnBond(blocks, q, 10)), vecs, q, 10)
+    }
+    blocks.unpersist()
+  }
+
+  test("k larger than the collection returns every row in (dist, id) order") {
+    val vecs = ds.vectors.take(40)
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, numPartitions = 3), 16).cache()
+    val q = ds.queries.head
+    TestUtil.assertAllInOrder(rows(PdxSpark.knnBond(blocks, q, 100)), vecs, q)
+    TestUtil.assertAllInOrder(rows(PdxSpark.knnExact(blocks, q, 100)), vecs, q)
+    blocks.unpersist()
+  }
+
+  test("ties keep the smallest ids for every block size and partition count") {
+    // 30 copies of the query stored with descending ids, among 200 others.
+    import spark.implicits._
+    val q = ds.queries.head
+    val data = (29L to 0L by -1L).map(id => (id, q.clone())) ++
+      ds.vectors.take(200).zipWithIndex.map { case (v, i) => (100L + i, v) }
+    for (bs <- Seq(8, 64, 1000); parts <- Seq(1, 3, 4)) {
+      val df = data.toDF("id", "vec").repartition(parts)
+      val blocks = PdxSpark.pack(df, bs).cache()
+      val expect = (0L until 10L).map(id => (id, 0f))
+      assert(rows(PdxSpark.knnBond(blocks, q, 10)) == expect, s"bond bs=$bs parts=$parts")
+      assert(rows(PdxSpark.knnExact(blocks, q, 10)) == expect, s"exact bs=$bs parts=$parts")
+      blocks.unpersist()
+    }
+  }
+
+  private def messages(e: Throwable): Seq[String] =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(t => String.valueOf(t.getMessage)).toSeq
+
+  test("knnBond and knnExact reject a bad query with a message naming the mismatch") {
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(100), 2), 64)
+    val nan = ds.queries.head.clone()
+    nan(4) = Float.NaN
+    // Non-finite: rejected before any job runs.
+    for (knn <- Seq(PdxSpark.knnBond(blocks, _: Array[Float], 10),
+                    PdxSpark.knnExact(blocks, _: Array[Float], 10))) {
+      val e = intercept[IllegalArgumentException](knn(nan))
+      assert(e.getMessage.contains("dimension 4"), e.getMessage)
+      // Wrong dimensionality: the blocks' d is known only in the tasks.
+      val e2 = intercept[Exception](knn(new Array[Float](12)).collect())
+      assert(messages(e2).exists(_.contains("query has 12 dimensions but the data has 24")),
+             messages(e2).mkString(" / "))
+    }
+  }
+
+  test("pack rejects a non-finite or null vector, naming it") {
+    val vecs = ds.vectors.take(50).map(_.clone())
+    vecs(7)(2) = Float.PositiveInfinity
+    val e = intercept[Exception](PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, 1), 64).collect())
+    assert(messages(e).exists(_.contains("non-finite value Infinity in vector")),
+           messages(e).mkString(" / "))
+    import spark.implicits._
+    val withNull = Seq((0L, null: Array[Float]), (1L, Array(1f, 2f))).toDF("id", "vec").coalesce(1)
+    val e2 = intercept[Exception](PdxSpark.pack(withNull, 64).collect())
+    assert(messages(e2).exists(_.contains("vector 0 of the group is null")),
+           messages(e2).mkString(" / "))
   }
 }
