@@ -17,7 +17,7 @@ object SparkKnnJob {
     val n = if (args.length > 0) args(0).toInt else 100000
     val d = if (args.length > 1) args(1).toInt else 64
     val k = if (args.length > 2) args(2).toInt else 10
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("pdx-knn")
       .getOrCreate()

@@ -12,22 +12,6 @@ object BenchUtil {
 
   def consume(x: Double): Unit = blackhole += x
 
-  /** Median wall-clock nanos of `reps` timed runs after `warmup` runs. */
-  def medianNanos(warmup: Int, reps: Int)(f: => Unit): Double = {
-    var i = 0
-    while (i < warmup) { f; i += 1 }
-    val times = new Array[Long](reps)
-    i = 0
-    while (i < reps) {
-      val t0 = System.nanoTime()
-      f
-      times(i) = System.nanoTime() - t0
-      i += 1
-    }
-    java.util.Arrays.sort(times)
-    times(reps / 2).toDouble
-  }
-
   /** Time `f` adaptively: batch inner iterations until one timed batch takes
     * at least `minBatchNanos`, then report median per-iteration nanos of
     * `reps` batches. Stabilizes sub-millisecond kernels against timer noise.

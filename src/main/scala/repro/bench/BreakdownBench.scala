@@ -69,11 +69,14 @@ object BreakdownBench {
     // to a triviality and let query prep (full-D, scale-independent)
     // dominate every row (see EXPERIMENTS.md, Table 7 notes).
     val floor = math.max(4, lists / 4)
+    val exactScan = Pruner.NeverPrune(spec.d)
+    val exactSearcher = new PdxSearcher(k)
     val nprobe = Iterator(2, 4, 8, 12, 16, 24, 32, 48, 64, lists)
       .map(np => math.min(np, lists))
       .find { np =>
         val r = queries.indices.map { qi =>
-          VectorData.recall(rawIdx.searchLinear(queries(qi), k, np).map(_._1), gt(qi))
+          VectorData.recall(rawIdx.searchPdx(queries(qi), k, np, exactScan, exactSearcher).map(_._1),
+                            gt(qi))
         }
         r.sum / r.length >= targetRecall
       }
@@ -104,14 +107,14 @@ object BreakdownBench {
       val prof = new SearchProfiler
       val searcher = new PdxSearcher(k, profiler = prof)
       measure(name, prof, unitBoundNs = Double.NaN)(
-        q => idx.searchPdx(q, k, nprobe, pruner, searcher, prof))
+        q => idx.searchPdx(q, k, nprobe, pruner, searcher))
     }
 
     def measureNary(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
       val prof = new SearchProfiler
       val searcher = new NarySearcher(k, deltaD = math.min(32, math.max(1, spec.d / 4)), profiler = prof)
       measure(name, prof, calibrateBoundNanos(pruner, queries.head, spec.d))(
-        q => idx.searchNary(q, k, nprobe, pruner, searcher, prof))
+        q => idx.searchNary(q, k, nprobe, pruner, searcher))
     }
 
     def toBreakdown(name: String, totalNs: Long, prof: SearchProfiler,

@@ -147,38 +147,11 @@ object Kernels {
   // (Algorithm 1 in the paper; the range form is what PDXearch steps use.)
   // ------------------------------------------------------------------
 
-  /** Dimension-blocked PDX L2: four dimensions are folded per `acc` load /
-    * store. The paper's C++ kernel gets this for free — LLVM keeps the
-    * whole 64-float distances array in SIMD registers across the dims loop;
-    * HotSpot will not hoist array state across loop iterations, so the
-    * blocking is done by hand (still scalar, still auto-vectorizable: the
-    * inner loop has independent per-lane accumulators).
+  /** Sequential PDX L2 over dimensions [d0, d1): [[l2PdxOrdered]] with
+    * the identity order.
     */
   def l2Pdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
-            acc: Array[Float]): Unit = {
-    var d = d0
-    while (d + 3 < d1) {
-      val off0 = d * n; val off1 = off0 + n; val off2 = off1 + n; val off3 = off2 + n
-      val q0 = q(d); val q1 = q(d + 1); val q2 = q(d + 2); val q3 = q(d + 3)
-      var i = 0
-      while (i < n) {
-        val t0 = q0 - data(off0 + i)
-        val t1 = q1 - data(off1 + i)
-        val t2 = q2 - data(off2 + i)
-        val t3 = q3 - data(off3 + i)
-        acc(i) += t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3
-        i += 1
-      }
-      d += 4
-    }
-    while (d < d1) {
-      val off = d * n
-      val qd = q(d)
-      var i = 0
-      while (i < n) { val t = qd - data(off + i); acc(i) += t * t; i += 1 }
-      d += 1
-    }
-  }
+            acc: Array[Float]): Unit = l2PdxOrdered(data, n, q, null, d0, d1, acc)
 
   def l1Pdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
             acc: Array[Float]): Unit = {
@@ -234,15 +207,24 @@ object Kernels {
       case IP => ipPdx(data, n, q, d0, d1, acc)
     }
 
-  /** PDX L2 over a query-aware dimension permutation: visits
-    * order(j0 until j1) — PDX-BOND's access path. Same 4-dim blocking as
-    * [[l2Pdx]] (the four columns are wherever the order points).
+  /** PDX L2 over positions [j0, j1) of the dimension order: visits
+    * order(j0 until j1), or dimensions j0 until j1 when `order == null`.
+    * Four dimensions are folded per `acc` load / store. The paper's C++
+    * kernel gets this for free — LLVM keeps the whole 64-float distances
+    * array in SIMD registers across the dims loop; HotSpot will not hoist
+    * array state across loop iterations, so the blocking is done by hand
+    * (still scalar, still auto-vectorizable: the inner loop has
+    * independent per-lane accumulators). The four columns are wherever the
+    * order points — PDX-BOND's access path.
     */
   def l2PdxOrdered(data: Array[Float], n: Int, q: Array[Float],
                    order: Array[Int], j0: Int, j1: Int, acc: Array[Float]): Unit = {
     var j = j0
     while (j + 3 < j1) {
-      val d0 = order(j); val d1 = order(j + 1); val d2 = order(j + 2); val d3 = order(j + 3)
+      val d0 = if (order == null) j else order(j)
+      val d1 = if (order == null) j + 1 else order(j + 1)
+      val d2 = if (order == null) j + 2 else order(j + 2)
+      val d3 = if (order == null) j + 3 else order(j + 3)
       val off0 = d0 * n; val off1 = d1 * n; val off2 = d2 * n; val off3 = d3 * n
       val q0 = q(d0); val q1 = q(d1); val q2 = q(d2); val q3 = q(d3)
       var i = 0
@@ -257,7 +239,7 @@ object Kernels {
       j += 4
     }
     while (j < j1) {
-      val d = order(j)
+      val d = if (order == null) j else order(j)
       val off = d * n
       val qd = q(d)
       var i = 0

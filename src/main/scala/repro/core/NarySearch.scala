@@ -25,14 +25,16 @@ object NaryBucket {
   * vector-at-a-time, with the pruning bound evaluated every Δd dimensions,
   * interleaved with the distance computation (the branchy pattern §6.3
   * profiles). τ tightens after every accepted vector. Dimensions are visited
-  * in the pruner's order for the bucket's means, as in PDXearch.
+  * in the pruner's order for the bucket's means, as in PDXearch, and the
+  * first bound is asked after `max(Δd, minPruneDims)` dimensions (none when
+  * that reaches the bucket's `d`).
   *
   * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, and —
   * with Δd = 1 and a profiler — as the pruning-power counter of Tables 2
   * and 6 (§2.3: the share of dimension values never read).
   */
 final class NarySearcher(val k: Int, val deltaD: Int = 32,
-                         profiler: SearchProfiler = null) {
+                         val profiler: SearchProfiler = null) {
 
   def search(buckets: IterableOnce[NaryBucket], rawQuery: Array[Float],
              pruner: Pruner): KnnHeap = {
@@ -54,6 +56,7 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
       val order = pq.order(b.means)
       val stride = d + 1
       val suffix = b.suffixSqNorms
+      val firstStop = math.min(d, math.max(deltaD, pq.minPruneDims))
       val t0 = if (profiler ne null) System.nanoTime() else 0L
       var dimValues = 0L
       var evals = 0L
@@ -69,8 +72,8 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
           dv = d
           dimValues += d
         } else {
+          var nd = firstStop
           while (dv < d && !prunedV) {
-            val nd = math.min(d, dv + deltaD)
             partial += Kernels.l2PartialNary(b.data, o, q, dv, nd, order)
             dimValues += nd - dv
             dv = nd
@@ -78,6 +81,7 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
               val vs = if (suffix.length == 0) 0f else suffix(i * stride + dv)
               evals += 1
               if (pq.bound(partial, dv, vs) > tau) prunedV = true
+              nd = math.min(d, dv + deltaD)
             }
           }
         }

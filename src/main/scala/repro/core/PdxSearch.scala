@@ -13,28 +13,22 @@ package repro.core
   *    ones included — random access would cost more than it saves while
   *    survivors are many) and evaluating the pruning bound in a separate
   *    loop after each step;
-  *  - PRUNE:  once the surviving fraction drops to `selThreshold` (20% sweet
-  *    spot, §6.6), positions of survivors are gathered and only those are
+  *  - PRUNE:  once at most 20% of the block survives (the sweet spot of
+  *    §6.6), positions of survivors are gathered and only those are
   *    scanned for the remaining steps, re-compacting after each bound pass.
   *
   * Survivors that reach the last dimension carry their exact distance
   * (rotations preserve L2) and are merged into the heap, tightening τ for
-  * the following blocks. `adaptive = false` reproduces the fixed-Δd
-  * behaviour of the original ADSampling/BSA search (Issue #1, §2.4).
+  * the following blocks. The step policy and the PRUNE threshold are the
+  * paper's, fixed in the companion object.
   *
   * Instances hold reusable scratch buffers — single-threaded use only
-  * (create one searcher per thread/partition).
+  * (create one searcher per thread/partition). A non-null `profiler`
+  * receives the search's timings and operation counts.
   */
-final class PdxSearcher(
-    val k: Int,
-    val selThreshold: Double = 0.2,
-    val adaptive: Boolean = true,
-    val fixedStep: Int = 32,
-    val initialStep: Int = 2,
-    profiler: SearchProfiler = null
-) {
-  require(k > 0)
-  require(selThreshold > 0 && selThreshold <= 1.0)
+final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
+  import PdxSearcher._
+  require(k > 0, s"k must be positive, got $k")
 
   private var acc: Array[Float] = Array.emptyFloatArray
   private var pruned: Array[Int] = Array.emptyIntArray // 1 = pruned; int flags keep the predicate loops branchless
@@ -98,26 +92,24 @@ final class PdxSearcher(
     val order = pq.order(block.means)
     val tau = heap.threshold
     val suffix = block.suffixSqNorms
+    val hasSuffix = suffix.length != 0
     val stride = d + 1
     var aliveCount = n
     var visited = 0
-    var step =
-      if (adaptive) math.max(initialStep, math.min(pq.minPruneDims, d - 1))
-      else fixedStep
-    val cut = math.max(1.0, n * selThreshold)
+    var step = math.max(InitialStep, math.min(pq.minPruneDims, d - 1))
+    val cut = math.max(1.0, n * PruneSelectivity)
 
     // ---- WARMUP: all vectors computed; bounds evaluated in a second loop.
     while (visited < d && aliveCount > cut) {
       val next = math.min(d, visited + step)
       var t0 = if (profiler ne null) System.nanoTime() else 0L
-      if (order == null) Kernels.l2Pdx(block.data, n, pq.query, visited, next, acc)
-      else Kernels.l2PdxOrdered(block.data, n, pq.query, order, visited, next, acc)
+      Kernels.l2PdxOrdered(block.data, n, pq.query, order, visited, next, acc)
       if (profiler ne null) {
         profiler.distanceNanos += System.nanoTime() - t0
         profiler.dimValuesScanned += n.toLong * (next - visited)
       }
       visited = next
-      if (adaptive) step *= 2
+      step *= 2
       if (visited < d) {
         t0 = if (profiler ne null) System.nanoTime() else 0L
         var i = 0
@@ -131,19 +123,13 @@ final class PdxSearcher(
             prunedCnt += f
             i += 1
           }
-        } else if (suffix.length == 0) {
+        } else {
           // Generic bound: guard on the flag — the bound call itself is the
           // expensive part for non-trivial pruners, not the branch.
           while (i < n) {
             var f = pruned(i)
-            if (f == 0 && pq.bound(acc(i), visited, 0f) > tau) { f = 1; pruned(i) = 1 }
-            prunedCnt += f
-            i += 1
-          }
-        } else {
-          while (i < n) {
-            var f = pruned(i)
-            if (f == 0 && pq.bound(acc(i), visited, suffix(i * stride + visited)) > tau) {
+            if (f == 0 && pq.bound(acc(i), visited,
+                                   if (hasSuffix) suffix(i * stride + visited) else 0f) > tau) {
               f = 1; pruned(i) = 1
             }
             prunedCnt += f
@@ -185,7 +171,7 @@ final class PdxSearcher(
         profiler.dimValuesScanned += posCount.toLong * (next - visited)
       }
       visited = next
-      if (adaptive) step *= 2
+      step *= 2
       if (visited < d) {
         t0 = if (profiler ne null) System.nanoTime() else 0L
         var w = 0
@@ -196,16 +182,11 @@ final class PdxSearcher(
             if (acc(pos) <= tau) { positions(w) = pos; w += 1 }
             p += 1
           }
-        } else if (suffix.length == 0) {
-          while (p < posCount) {
-            val pos = positions(p)
-            if (pq.bound(acc(pos), visited, 0f) <= tau) { positions(w) = pos; w += 1 }
-            p += 1
-          }
         } else {
           while (p < posCount) {
             val pos = positions(p)
-            if (pq.bound(acc(pos), visited, suffix(pos * stride + visited)) <= tau) {
+            if (pq.bound(acc(pos), visited,
+                         if (hasSuffix) suffix(pos * stride + visited) else 0f) <= tau) {
               positions(w) = pos; w += 1
             }
             p += 1
@@ -225,4 +206,15 @@ final class PdxSearcher(
       p += 1
     }
   }
+}
+
+object PdxSearcher {
+
+  /** First WARMUP step in dimensions; every step doubles the last (§4). */
+  private final val InitialStep = 2
+
+  /** PRUNE starts once at most this share of a block's vectors survives
+    * (§6.6).
+    */
+  private final val PruneSelectivity = 0.2
 }

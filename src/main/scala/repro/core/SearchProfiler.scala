@@ -26,6 +26,4 @@ final class SearchProfiler {
     queryPrepNanos = 0; findBucketsNanos = 0; distanceNanos = 0; boundsNanos = 0
     dimValuesScanned = 0; boundEvals = 0
   }
-
-  def totalNanos: Long = queryPrepNanos + findBucketsNanos + distanceNanos + boundsNanos
 }

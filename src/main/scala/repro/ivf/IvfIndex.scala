@@ -61,10 +61,14 @@ final class IvfIndex(
   }
 
   /** Full IVF query with PDXearch: prep query, pick nprobe buckets, search
-    * blocks nearest-first. Returns sorted (id, distance) pairs.
+    * blocks nearest-first; the searcher's profiler, if any, times each
+    * step. Returns sorted (id, distance) pairs. With [[Pruner.NeverPrune]]
+    * this is the exact IVF bucket scan (the FAISS/Milvus IVF_FLAT
+    * stand-in).
     */
   def searchPdx(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                searcher: PdxSearcher, profiler: SearchProfiler = null): IndexedSeq[(Long, Float)] = {
+                searcher: PdxSearcher): IndexedSeq[(Long, Float)] = {
+    val profiler = searcher.profiler
     val t0 = if (profiler ne null) System.nanoTime() else 0L
     val pq = pruner.prepareQuery(rawQuery)
     if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
@@ -76,30 +80,14 @@ final class IvfIndex(
 
   /** Full IVF query with the horizontal (N-ary) pruned search. */
   def searchNary(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                 searcher: NarySearcher, profiler: SearchProfiler = null): IndexedSeq[(Long, Float)] = {
+                 searcher: NarySearcher): IndexedSeq[(Long, Float)] = {
+    val profiler = searcher.profiler
     val t0 = if (profiler ne null) System.nanoTime() else 0L
     val pq = pruner.prepareQuery(rawQuery)
     if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
     val probes = nearestBuckets(pq.query, nprobe, profiler, usePdx = false)
     val heap = new KnnHeap(k)
     searcher.searchPrepared(probes.iterator.map(c => naryBuckets(bucketOf(c))), pq, heap)
-    heap.sorted
-  }
-
-  /** Linear IVF bucket scan with the horizontal kernel — the FAISS/Milvus
-    * IVF_FLAT stand-in (no dimension pruning).
-    */
-  def searchLinear(query: Array[Float], k: Int, nprobe: Int): IndexedSeq[(Long, Float)] = {
-    val probes = nearestBuckets(query, nprobe, usePdx = false)
-    val heap = new KnnHeap(k)
-    probes.foreach { c =>
-      val b = naryBuckets(bucketOf(c))
-      var i = 0
-      while (i < b.n) {
-        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, query, b.d))
-        i += 1
-      }
-    }
     heap.sorted
   }
 }

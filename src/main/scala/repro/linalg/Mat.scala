@@ -65,11 +65,6 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     out
   }
 
-  /** Apply `this` (D x D) to a float vector, returning floats. 4-way
-    * unrolled: this is the per-query transform cost of ADSampling/BSA
-    * ("Query Preprocessing" in Table 7), so it gets the same independent-
-    * accumulator treatment as the distance kernels.
-    */
   /** Float copy of `a`, materialized on first float matvec: halves the
     * memory traffic of the per-query transform, which is memory-bound at
     * D=1536 (9.4 MB vs 18.9 MB per matvec).
@@ -81,6 +76,11 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     out
   }
 
+  /** Apply `this` (D x D) to a float vector, returning floats. 4-way
+    * unrolled: this is the per-query transform cost of ADSampling/BSA
+    * ("Query Preprocessing" in Table 7), so it gets the same independent-
+    * accumulator treatment as the distance kernels.
+    */
   def mulVecF(v: Array[Float]): Array[Float] = {
     require(v.length == cols)
     val m = aF
@@ -229,7 +229,7 @@ object Mat {
     val v = eye(d).a // accumulated rotations, row-major; starts as I
     var sweep = 0
     var off = offDiagNorm(m, d)
-    val base = frobNorm(m, d)
+    val base = frobNorm(m)
     while (sweep < maxSweeps && off > tol * (base + 1e-300)) {
       var p = 0
       while (p < d - 1) {
@@ -307,7 +307,7 @@ object Mat {
     math.sqrt(s)
   }
 
-  private def frobNorm(m: Array[Double], d: Int): Double = {
+  private def frobNorm(m: Array[Double]): Double = {
     var s = 0.0; var i = 0
     while (i < m.length) { s += m(i) * m(i); i += 1 }
     math.sqrt(s)

@@ -100,14 +100,8 @@ object Bsa {
   private def fitInternal(vecs: IndexedSeq[Array[Float]], multiplier: Double,
                           seed: Long, maxSweeps: Int, learn: Boolean,
                           quantile: Double = 0.995, samplePairs: Int = 512): Bsa = {
-    require(vecs.nonEmpty)
-    val d = vecs.head.length
-    val meanD = new Array[Double](d)
-    vecs.foreach { v =>
-      var j = 0
-      while (j < d) { meanD(j) += v(j); j += 1 }
-    }
-    val mean = Array.tabulate(d)(j => (meanD(j) / vecs.length).toFloat)
+    val mean = PdxLayout.globalMeans(vecs) // rejects ragged and non-finite vectors
+    val d = mean.length
     val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps)
     val proto = new Bsa(d, Double.PositiveInfinity, basis, mean, new Array[Float](d + 1))
     val cq =

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.prune.Bond
@@ -104,9 +104,13 @@ object PdxSpark {
   }
 
   /** Count of vectors within squared L2 radius `r2` of the query — a
-    * second query shape for the DuckDB oracle (range count).
+    * second query shape for the DuckDB oracle (range count). The query and
+    * `r2` are checked before any job runs, the query's dimensionality in
+    * the tasks, as in [[knn]].
     */
   def rangeCount(blocks: Dataset[PdxBlockRow], query: Array[Float], r2: Double): DataFrame = {
+    PreparedQuery.requireFinite(query)
+    require(!r2.isNaN, "radius r2 is NaN")
     val spark = blocks.sparkSession
     import spark.implicits._
     val perPart = blocks.mapPartitions { it =>
@@ -114,6 +118,7 @@ object PdxSpark {
       var acc = Array.emptyFloatArray
       it.foreach { row =>
         val b = row.toBlock
+        PreparedQuery.requireDims(query, b.d)
         if (acc.length < b.n) acc = new Array[Float](b.n)
         java.util.Arrays.fill(acc, 0, b.n, 0f)
         Kernels.l2Pdx(b.data, b.n, query, 0, b.d, acc)
@@ -125,22 +130,20 @@ object PdxSpark {
     perPart.toDF("c").agg(sum(col("c")).as("c"))
   }
 
-  /** Register the `pdx_block_knn(data, n, d, ids, query, k)` UDF: scans one
-    * PDX block dimension-at-a-time and returns its local top-k as
-    * `array<struct<id, dist>>` — the SQL-facing dimension-scan path.
+  /** Register the `pdx_block_knn(data, n, d, ids, means, query, k)` UDF:
+    * answers one PDX block row with its local top-k as
+    * `array<struct<id, dist>>` — the SQL-facing path. It runs PDXearch with
+    * [[Pruner.NeverPrune]] (the PDX linear scan) on the row's block, so it
+    * shares the searcher's checks of the query and the block's shape.
     */
   def registerUdf(spark: SparkSession): Unit = {
     spark.udf.register(
       "pdx_block_knn",
-      (data: Seq[Float], n: Int, d: Int, ids: Seq[Long], query: Seq[Float], k: Int) => {
-        val dataArr = data.toArray
-        val q = query.toArray
-        val acc = new Array[Float](n)
-        Kernels.l2Pdx(dataArr, n, q, 0, d, acc)
-        val heap = new KnnHeap(k)
-        var i = 0
-        while (i < n) { heap.push(ids(i), acc(i)); i += 1 }
-        heap.sorted.map { case (id, dist) => (id, dist.toDouble) }
+      (data: Seq[Float], n: Int, d: Int, ids: Seq[Long], means: Seq[Float],
+       query: Seq[Float], k: Int) => {
+        val block = PdxBlock(ids.toArray, n, d, data.toArray, means.toArray, Array.emptyFloatArray)
+        new PdxSearcher(k).search(Iterator.single(block), query.toArray, Pruner.NeverPrune(d))
+          .sorted.map { case (id, dist) => (id, dist.toDouble) }
       }
     )
   }

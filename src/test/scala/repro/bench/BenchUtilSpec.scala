@@ -28,13 +28,6 @@ class BenchUtilSpec extends AnyFunSuite {
     assert(lines(3) == "| 3 | 4 |")
   }
 
-  test("medianNanos runs the workload and returns positive time") {
-    var runs = 0
-    val t = BenchUtil.medianNanos(warmup = 2, reps = 3) { runs += 1 }
-    assert(runs == 5)
-    assert(t >= 0.0)
-  }
-
   test("timePerOp returns a plausible per-op time") {
     val t = BenchUtil.timePerOp(minBatchNanos = 100_000L, reps = 3) {
       BenchUtil.consume(math.sqrt(42.0))

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.TestUtil.forAllSampled
 import repro.data.VectorData
+import repro.prune.Bsa
 
 class PdxLayoutSpec extends AnyFunSuite {
 
@@ -151,13 +152,21 @@ class PdxLayoutSpec extends AnyFunSuite {
       assert(e1.getMessage.contains(msg), e1.getMessage)
       val e2 = intercept[IllegalArgumentException](NaryBucket.pack(vecs, ids))
       assert(e2.getMessage.contains(msg), e2.getMessage)
+      // BSA's training mean is the same check.
+      for (fit <- Seq(() => Bsa.fit(vecs), () => Bsa.fitExact(vecs))) {
+        val e3 = intercept[IllegalArgumentException](fit())
+        assert(e3.getMessage.contains(msg), e3.getMessage)
+      }
     }
   }
 
   test("NaryBucket.pack rejects ragged vectors") {
     val vecs = IndexedSeq(Array(1f, 2f, 3f), Array(1f, 2f))
-    val e = intercept[IllegalArgumentException](NaryBucket.pack(vecs, IndexedSeq(0L, 1L)))
-    assert(e.getMessage.contains("vector 1 has 2 dimensions, expected 3"), e.getMessage)
+    for (build <- Seq(() => NaryBucket.pack(vecs, IndexedSeq(0L, 1L)), () => Bsa.fit(vecs),
+                      () => Bsa.fitExact(vecs))) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("vector 1 has 2 dimensions, expected 3"), e.getMessage)
+    }
   }
 
   test("NaryBucket metadata is bit-identical to the PDX block's") {

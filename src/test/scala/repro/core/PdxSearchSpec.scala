@@ -102,50 +102,35 @@ class PdxSearchSpec extends AnyFunSuite {
   }
 
   test("PDXearch sizes its first WARMUP step to the pruner's minPruneDims") {
-    // A pruner that records the first dimsVisited its bound is asked about.
+    // A pruner that records the first dimsVisited its bound is asked about;
+    // the N-ary searcher (Δd = 4) must wait for minPruneDims as well, and
+    // neither asks a bound when minPruneDims covers every dimension.
     val d = 64
     val ds = clustered(300, d, seed = 53)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-    var firstAsked = -1
-    val probe = new Pruner {
-      val name = "probe"
-      val isExact = true
-      val d: Int = 64
-      def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
-        val query: Array[Float] = q
-        def order(means: Array[Float]): Array[Int] = null
-        override def minPruneDims: Int = 16
-        def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = {
-          if (firstAsked < 0) firstAsked = dimsVisited
-          Float.NegativeInfinity
+    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    for (minDims <- Seq(16, d)) {
+      var firstAsked = -1
+      val probe = new Pruner {
+        val name = "probe"
+        val isExact = true
+        val d: Int = 64
+        def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+          val query: Array[Float] = q
+          def order(means: Array[Float]): Array[Int] = null
+          override def minPruneDims: Int = minDims
+          def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = {
+            if (firstAsked < 0) firstAsked = dimsVisited
+            Float.NegativeInfinity
+          }
         }
       }
-    }
-    new PdxSearcher(5).search(blocks, ds.queries.head, probe)
-    assert(firstAsked >= 16, s"first bound asked at dv=$firstAsked")
-  }
-
-  test("fixed-step PDXearch (adaptive=false) is still exact with exact pruners") {
-    val d = 40
-    val ds = clustered(600, d, seed = 29)
-    val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-    val searcher = new PdxSearcher(10, adaptive = false, fixedStep = 8)
-    ds.queries.foreach { q =>
-      val heap = searcher.search(blocks, q, new Bond(d, Bond.DistanceToMeans))
-      TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
-    }
-  }
-
-  for (sel <- Seq(0.05, 0.2, 0.5, 1.0)) {
-    test(s"selectivity threshold $sel preserves exactness") {
-      val d = 30
-      val ds = clustered(500, d, seed = 31)
-      val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-      val searcher = new PdxSearcher(5, selThreshold = sel)
-      ds.queries.foreach { q =>
-        val heap = searcher.search(blocks, q, new Bond(d, Bond.DistanceToMeans))
-        TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 5)
-      }
+      val expect = if (minDims < d) minDims else -1
+      new PdxSearcher(5).search(blocks, ds.queries.head, probe)
+      assert(firstAsked == expect, s"PDXearch: first bound asked at dv=$firstAsked")
+      firstAsked = -1
+      new NarySearcher(5, deltaD = 4).search(Seq(bucket), ds.queries.head, probe)
+      assert(firstAsked == expect, s"N-ary: first bound asked at dv=$firstAsked")
     }
   }
 
@@ -238,7 +223,7 @@ class PdxSearchSpec extends AnyFunSuite {
     assert(prof.dimValuesScanned <= 2000L * d)
     assert(prof.boundEvals > 0)
     prof.reset()
-    assert(prof.totalNanos == 0 && prof.dimValuesScanned == 0)
+    assert(prof.distanceNanos == 0 && prof.boundsNanos == 0 && prof.dimValuesScanned == 0)
   }
 
   test("pruning reduces scanned dimension values vs linear scan on clustered data") {

@@ -121,12 +121,13 @@ class IvfSpec extends AnyFunSuite {
 
   // ---------------- IVF search ----------------
 
-  test("searchLinear with nprobe == nlist is exact") {
+  test("searchPdx with NeverPrune and nprobe == nlist is exact") {
     val ds = clustered(500, 16, seed = 29)
     val part = Ivf.partition(ds.vectors, nlist = 10)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
+    val searcher = new PdxSearcher(10)
     ds.queries.foreach { q =>
-      val res = idx.searchLinear(q, 10, nprobe = 10)
+      val res = idx.searchPdx(q, 10, nprobe = 10, Pruner.NeverPrune(16), searcher)
       TestUtil.assertExactKnn(res, ds.vectors, q, 10)
     }
   }
@@ -149,9 +150,11 @@ class IvfSpec extends AnyFunSuite {
     val part = Ivf.partition(ds.vectors, nlist = 20)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
+    val searcher = new PdxSearcher(10)
     def avgRecall(np: Int): Double = {
       val rs = ds.queries.indices.map { qi =>
-        VectorData.recall(idx.searchLinear(ds.queries(qi), 10, np).map(_._1), gt(qi))
+        val res = idx.searchPdx(ds.queries(qi), 10, np, Pruner.NeverPrune(d), searcher)
+        VectorData.recall(res.map(_._1), gt(qi))
       }
       rs.sum / rs.length
     }

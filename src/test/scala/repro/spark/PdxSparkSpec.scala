@@ -10,6 +10,10 @@ class PdxSparkSpec extends SparkSpec {
   private lazy val ds = VectorData.generate(
     VectorData.DatasetSpec("spark", 24, 800, 6, skewed = false, clusters = 8, seed = 500))
 
+  /** A query as a Spark SQL float array literal (string casts carry NaN). */
+  private def sqlArray(q: Array[Float]): String =
+    q.map(x => s"CAST('$x' AS FLOAT)").mkString("array(", ", ", ")")
+
   test("pack produces blocks covering every vector exactly once") {
     val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
     val blocks = PdxSpark.pack(df, blockSize = 64).collect()
@@ -80,10 +84,10 @@ class PdxSparkSpec extends SparkSpec {
     val df = PdxSpark.toVectorDF(spark, vecs, numPartitions = 2)
     PdxSpark.pack(df, 64).createOrReplaceTempView("pdx_blocks")
     val q = ds.queries.head
-    val qSql = q.map(x => s"CAST($x AS FLOAT)").mkString("array(", ", ", ")")
     val res = spark.sql(
       s"""SELECT r.col._1 AS id FROM (
-         |  SELECT explode(pdx_block_knn(data, n, d, ids, $qSql, 10)) AS col FROM pdx_blocks
+         |  SELECT explode(pdx_block_knn(data, n, d, ids, means, ${sqlArray(q)}, 10)) AS col
+         |  FROM pdx_blocks
          |) r
          |ORDER BY r.col._2, r.col._1 LIMIT 10""".stripMargin
     ).collect().map(_.getLong(0)).toSet
@@ -150,14 +154,28 @@ class PdxSparkSpec extends SparkSpec {
     val nan = ds.queries.head.clone()
     nan(4) = Float.NaN
     // Non-finite: rejected before any job runs.
-    for (knn <- Seq(PdxSpark.knnBond(blocks, _: Array[Float], 10),
-                    PdxSpark.knnExact(blocks, _: Array[Float], 10))) {
-      val e = intercept[IllegalArgumentException](knn(nan))
+    for (query <- Seq(PdxSpark.knnBond(blocks, _: Array[Float], 10),
+                      PdxSpark.knnExact(blocks, _: Array[Float], 10),
+                      PdxSpark.rangeCount(blocks, _: Array[Float], 1.0))) {
+      val e = intercept[IllegalArgumentException](query(nan))
       assert(e.getMessage.contains("dimension 4"), e.getMessage)
       // Wrong dimensionality: the blocks' d is known only in the tasks.
-      val e2 = intercept[Exception](knn(new Array[Float](12)).collect())
+      val e2 = intercept[Exception](query(new Array[Float](12)).collect())
       assert(messages(e2).exists(_.contains("query has 12 dimensions but the data has 24")),
              messages(e2).mkString(" / "))
+    }
+    val e = intercept[IllegalArgumentException](
+      PdxSpark.rangeCount(blocks, ds.queries.head, Double.NaN))
+    assert(e.getMessage.contains("r2 is NaN"), e.getMessage)
+    // The UDF sees the query only in the tasks, row by row.
+    PdxSpark.registerUdf(spark)
+    blocks.createOrReplaceTempView("bad_query_blocks")
+    for ((q, msg) <- Seq(nan -> "non-finite query value NaN in dimension 4",
+                         (ds.queries.head :+ 0f) -> "query has 25 dimensions but the data has 24")) {
+      val e3 = intercept[Exception](spark.sql(
+        s"SELECT pdx_block_knn(data, n, d, ids, means, ${sqlArray(q)}, 10) FROM bad_query_blocks"
+      ).collect())
+      assert(messages(e3).exists(_.contains(msg)), messages(e3).mkString(" / "))
     }
   }
 
