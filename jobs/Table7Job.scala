@@ -5,6 +5,5 @@ import repro.bench.{BenchConfig, BenchUtil, BreakdownBench}
 /** spark-submit entrypoint regenerating Table 7 (IVF query breakdown). */
 object Table7Job {
   def main(args: Array[String]): Unit =
-    BenchUtil.report("table7_breakdown",
-                     BreakdownBench.run(BenchConfig.breakdownSpec, targetRecall = 0.95)._1)
+    BenchUtil.report("table7_breakdown", BreakdownBench.run(BenchConfig.breakdownSpec)._1)
 }

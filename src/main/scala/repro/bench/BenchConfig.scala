@@ -13,6 +13,9 @@ import repro.data.VectorData.DatasetSpec
   */
 object BenchConfig {
 
+  /** Neighbours per query: K = 10 in every table of the paper. */
+  val K = 10
+
   val benchN = 8000
   val benchQueries = 30
 

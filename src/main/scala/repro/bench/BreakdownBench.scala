@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.bench.BenchConfig.K
 import repro.core._
 import repro.data.VectorData
 import repro.data.VectorData.DatasetSpec
@@ -43,13 +44,13 @@ object BreakdownBench {
     } / inner
   }
 
-  def run(spec: DatasetSpec, k: Int = 10, nlist: Int = 0, targetRecall: Double = 0.95,
+  def run(spec: DatasetSpec, nlist: Int = 0, targetRecall: Double = 0.99,
           kmeansIters: Int = 8, quick: Boolean = false): (String, Seq[AlgoBreakdown]) = {
     val ds = DatasetCache.dataset(spec)
     val n = ds.vectors.length
     val ids = ds.vectors.indices.map(_.toLong)
     val lists = if (nlist > 0) nlist else math.max(4, math.sqrt(n.toDouble).round.toInt)
-    val gt = DatasetCache.groundTruth(spec, k)
+    val gt = DatasetCache.groundTruth(spec)
     val queries = if (quick) ds.queries.take(8) else ds.queries
 
     val (ads, adsVecs) = DatasetCache.adsSpace(spec)
@@ -70,12 +71,12 @@ object BreakdownBench {
     // dominate every row (see EXPERIMENTS.md, Table 7 notes).
     val floor = math.max(4, lists / 4)
     val exactScan = Pruner.NeverPrune(spec.d)
-    val exactSearcher = new PdxSearcher(k)
+    val exactSearcher = new PdxSearcher(K)
     val nprobe = Iterator(2, 4, 8, 12, 16, 24, 32, 48, 64, lists)
       .map(np => math.min(np, lists))
       .find { np =>
         val r = queries.indices.map { qi =>
-          VectorData.recall(rawIdx.searchPdx(queries(qi), k, np, exactScan, exactSearcher).map(_._1),
+          VectorData.recall(rawIdx.searchPdx(queries(qi), K, np, exactScan, exactSearcher).map(_._1),
                             gt(qi))
         }
         r.sum / r.length >= targetRecall
@@ -105,16 +106,16 @@ object BreakdownBench {
 
     def measurePdx(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
       val prof = new SearchProfiler
-      val searcher = new PdxSearcher(k, profiler = prof)
+      val searcher = new PdxSearcher(K, profiler = prof)
       measure(name, prof, unitBoundNs = Double.NaN)(
-        q => idx.searchPdx(q, k, nprobe, pruner, searcher))
+        q => idx.searchPdx(q, K, nprobe, pruner, searcher))
     }
 
     def measureNary(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
       val prof = new SearchProfiler
-      val searcher = new NarySearcher(k, deltaD = math.min(32, math.max(1, spec.d / 4)), profiler = prof)
+      val searcher = new NarySearcher(K, deltaD = math.min(32, math.max(1, spec.d / 4)), profiler = prof)
       measure(name, prof, calibrateBoundNanos(pruner, queries.head, spec.d))(
-        q => idx.searchNary(q, k, nprobe, pruner, searcher))
+        q => idx.searchNary(q, K, nprobe, pruner, searcher))
     }
 
     def toBreakdown(name: String, totalNs: Long, prof: SearchProfiler,
@@ -145,7 +146,7 @@ object BreakdownBench {
           "Bounds Evaluation", "Query Preprocessing", "recall@10"),
       breakdowns.map(_.row)
     ) + s"\nIVF query runtime breakdown on ${spec.label}: nlist=$lists, nprobe=$nprobe " +
-      s"(target recall $targetRecall), K=$k, ${queries.length} queries.\n"
+      s"(target recall $targetRecall), K=$K, ${queries.length} queries.\n"
     (table, breakdowns)
   }
 }

@@ -15,8 +15,8 @@ object DatasetCache {
 
   private val datasets = mutable.Map.empty[DatasetSpec, Dataset]
   private val adsSpaces = mutable.Map.empty[DatasetSpec, (AdSampling, IndexedSeq[Array[Float]])]
-  private val bsaSpaces = mutable.Map.empty[(DatasetSpec, Double), (Bsa, IndexedSeq[Array[Float]])]
-  private val truths = mutable.Map.empty[(DatasetSpec, Int), Array[Array[Long]]]
+  private val bsaSpaces = mutable.Map.empty[DatasetSpec, (Bsa, IndexedSeq[Array[Float]])]
+  private val truths = mutable.Map.empty[DatasetSpec, Array[Array[Long]]]
 
   def dataset(spec: DatasetSpec): Dataset =
     synchronized(datasets.getOrElseUpdate(spec, VectorData.generate(spec)))
@@ -29,23 +29,21 @@ object DatasetCache {
       (pruner, pruner.transformData(ds.vectors))
     }))
 
-  /** BSA pruner + the dataset in PCA space. Jacobi sweeps capped at 5: the
-    * energy concentration pruning needs converges in the first sweeps.
+  /** BSA pruner (quantile multiplier 0.75) + the dataset in PCA space.
+    * Jacobi sweeps capped at 4: the energy concentration pruning needs
+    * converges in the first sweeps.
     */
-  def bsaSpace(spec: DatasetSpec, multiplier: Double = 0.75): (Bsa, IndexedSeq[Array[Float]]) =
-    synchronized(bsaSpaces.getOrElseUpdate((spec, multiplier), {
+  def bsaSpace(spec: DatasetSpec): (Bsa, IndexedSeq[Array[Float]]) =
+    synchronized(bsaSpaces.getOrElseUpdate(spec, {
       val ds = dataset(spec)
-      val pruner = Bsa.fit(ds.vectors, multiplier, seed = spec.seed * 31 + 2, maxSweeps = 4)
+      val pruner = Bsa.fit(ds.vectors, multiplier = 0.75, seed = spec.seed * 31 + 2, maxSweeps = 4)
       (pruner, pruner.transformData(ds.vectors))
     }))
 
-  def groundTruth(spec: DatasetSpec, k: Int): Array[Array[Long]] =
-    synchronized(truths.getOrElseUpdate((spec, k), {
+  /** Exact top-[[BenchConfig.K]] ids of every query of the dataset. */
+  def groundTruth(spec: DatasetSpec): Array[Array[Long]] =
+    synchronized(truths.getOrElseUpdate(spec, {
       val ds = dataset(spec)
-      VectorData.groundTruth(ds.vectors, ds.queries, k)
+      VectorData.groundTruth(ds.vectors, ds.queries, BenchConfig.K)
     }))
-
-  def clear(): Unit = synchronized {
-    datasets.clear(); adsSpaces.clear(); bsaSpaces.clear(); truths.clear()
-  }
 }

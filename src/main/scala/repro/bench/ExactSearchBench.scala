@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.bench.BenchConfig.K
 import repro.core._
 import repro.data.VectorData
 import repro.data.VectorData.DatasetSpec
@@ -30,8 +31,7 @@ object ExactSearchBench {
     def speedupOfBondOver(c: String): Double = qps("pdx-bond") / qps(c)
   }
 
-  def run(specs: Seq[DatasetSpec], k: Int = 10, quick: Boolean = false)
-      : (String, Seq[Row]) = {
+  def run(specs: Seq[DatasetSpec], quick: Boolean = false): (String, Seq[Row]) = {
     val rows = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val vecs = ds.vectors
@@ -44,16 +44,16 @@ object ExactSearchBench {
       val blocks64 = PdxLayout.pack(vecs, ids, 64)
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))
       val bond = new Bond(d, Bond.DistanceToMeans)
-      val searcher = new PdxSearcher(k)
+      val searcher = new PdxSearcher(K)
       val linear = Pruner.NeverPrune(d)
       val minNs = if (quick) 50_000_000L else 400_000_000L
       def qpsOf(f: Array[Float] => Unit): Double = BenchUtil.qps(queries, minNs)(f)
 
       val qps = Map(
-        "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(nary, n, d, q, k).threshold)),
-        "nary-scalar" -> qpsOf(q => BenchUtil.consume(LinearScan.naryScalarKnn(nary, n, d, q, k).threshold)),
-        "dsm" -> qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, k).threshold)),
-        "gather" -> qpsOf(q => BenchUtil.consume(LinearScan.gatherKnn(nary, n, d, q, k).threshold)),
+        "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(nary, n, d, q, K).threshold)),
+        "nary-scalar" -> qpsOf(q => BenchUtil.consume(LinearScan.naryScalarKnn(nary, n, d, q, K).threshold)),
+        "dsm" -> qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, K).threshold)),
+        "gather" -> qpsOf(q => BenchUtil.consume(LinearScan.gatherKnn(nary, n, d, q, K).threshold)),
         "pdx-linear" -> qpsOf(q => BenchUtil.consume(searcher.search(blocks64, q, linear).threshold)),
         "pdx-bond" -> qpsOf(q => BenchUtil.consume(searcher.search(bondBlocks, q, bond).threshold)),
       )
@@ -84,10 +84,10 @@ object ExactSearchBench {
       val dsm = PdxLayout.packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
       val minNs = if (quick) 30_000_000L else 300_000_000L
-      val searcher = new PdxSearcher(10)
+      val searcher = new PdxSearcher(K)
       val linear = Pruner.NeverPrune(d)
       val dsmQps = BenchUtil.qps(queries, minNs)(q =>
-        BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, 10).threshold))
+        BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, K).threshold))
       val pdxQps = BenchUtil.qps(queries, minNs)(q =>
         BenchUtil.consume(searcher.search(blocks, q, linear).threshold))
       n -> pdxQps / dsmQps

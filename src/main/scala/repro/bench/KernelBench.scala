@@ -43,7 +43,7 @@ object KernelBench {
     val nary = PdxLayout.packNary(vecs)
     val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), blockSize)
     val acc = new Array[Float](blocks.map(_.n).max)
-    val gatherOut = new Array[Float](64)
+    val gatherOut = new Array[Float](PdxLayout.DefaultBlockSize)
     val minBatch = if (quick) 200_000L else 20_000_000L
     val reps = if (quick) 3 else 5
 
@@ -86,7 +86,7 @@ object KernelBench {
         var v0 = 0
         var sink = 0f
         while (v0 < combo.n) {
-          val count = math.min(64, combo.n - v0)
+          val count = math.min(PdxLayout.DefaultBlockSize, combo.n - v0)
           Kernels.l2NaryGather(nary, v0, count, combo.d, query, gatherOut)
           sink += gatherOut(0)
           v0 += count

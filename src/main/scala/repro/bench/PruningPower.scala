@@ -8,8 +8,8 @@ import repro.core.{NaryBucket, NarySearcher, Pruner, SearchProfiler}
   *
   * It is a counter of the real search, not a model of it: the collection is
   * one N-ary bucket in storage order, and each query runs
-  * `NarySearcher(k, deltaD = 1)` with a [[SearchProfiler]]; power is
-  * `1 − dimValuesScanned / (n·D)`. The first k vectors fill the heap (all
+  * `NarySearcher(K, deltaD = 1)` with a [[SearchProfiler]]; power is
+  * `1 − dimValuesScanned / (n·D)`. The first K vectors fill the heap (all
   * their dims count as read); every later vector stops at its first prune,
   * in the pruner's query-aware dimension order when it defines one.
   */
@@ -19,13 +19,12 @@ object PruningPower {
     * `collectionMeans` drives the pruner's dimension order.
     */
   def perQuery(vecsInSpace: IndexedSeq[Array[Float]], collectionMeans: Array[Float],
-               pruner: Pruner, rawQueries: IndexedSeq[Array[Float]],
-               k: Int = 10): IndexedSeq[Double] = {
+               pruner: Pruner, rawQueries: IndexedSeq[Array[Float]]): IndexedSeq[Double] = {
     val bucket = NaryBucket.pack(vecsInSpace, vecsInSpace.indices.map(_.toLong),
                                  pruner.needsSuffixNorms).copy(means = collectionMeans)
     val values = bucket.n.toLong * bucket.d
     val profiler = new SearchProfiler
-    val searcher = new NarySearcher(k, deltaD = 1, profiler)
+    val searcher = new NarySearcher(BenchConfig.K, deltaD = 1, profiler)
     rawQueries.map { raw =>
       profiler.reset()
       searcher.search(Iterator.single(bucket), raw, pruner)

@@ -30,13 +30,12 @@ object PruningTables {
   }
 
   /** Table 2: ADSampling (ε0 = 2.1) pruning power. */
-  def table2(specs: Seq[DatasetSpec], k: Int = 10)
-      : (String, Map[String, PruningPower.Summary]) = {
+  def table2(specs: Seq[DatasetSpec]): (String, Map[String, PruningPower.Summary]) = {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val (pruner, space) = DatasetCache.adsSpace(spec)
       val means = PdxLayout.globalMeans(space)
-      val power = PruningPower.perQuery(space, means, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(space, means, pruner, ds.queries)
       spec.label -> PruningPower.summarize(power)
     }
     (render("ADSampling pruning power (% of dimension values avoided), Δd=1, K=10.", cols),
@@ -44,13 +43,12 @@ object PruningTables {
   }
 
   /** Table 6: PDX-BOND (distance-to-means order) pruning power. */
-  def table6(specs: Seq[DatasetSpec], k: Int = 10)
-      : (String, Map[String, PruningPower.Summary]) = {
+  def table6(specs: Seq[DatasetSpec]): (String, Map[String, PruningPower.Summary]) = {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val pruner = new Bond(spec.d, Bond.DistanceToMeans)
       val means = PdxLayout.globalMeans(ds.vectors)
-      val power = PruningPower.perQuery(ds.vectors, means, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(ds.vectors, means, pruner, ds.queries)
       spec.label -> PruningPower.summarize(power)
     }
     (render("PDX-BOND pruning power (% of dimension values avoided), Δd=1, K=10.", cols),

@@ -141,15 +141,15 @@ object LinearScan {
   }
 
   /** N-ary + on-the-fly gather scan (§7): PDX-style computation with
-    * strided loads from horizontal storage, 64 vectors at-a-time.
+    * strided loads from horizontal storage, one PDX block's worth
+    * ([[PdxLayout.DefaultBlockSize]] vectors) at-a-time.
     */
-  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int,
-                group: Int = 64): KnnHeap = {
+  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
-    val out = new Array[Float](group)
+    val out = new Array[Float](PdxLayout.DefaultBlockSize)
     var v0 = 0
     while (v0 < n) {
-      val count = math.min(group, n - v0)
+      val count = math.min(PdxLayout.DefaultBlockSize, n - v0)
       Kernels.l2NaryGather(data, v0, count, d, q, out)
       var i = 0
       while (i < count) { heap.push((v0 + i).toLong, out(i)); i += 1 }

@@ -25,7 +25,6 @@ object VectorData {
       nQueries: Int,
       skewed: Boolean,
       clusters: Int = 64,
-      noise: Double = 0.35,
       seed: Long = 42
   ) {
     def label: String = s"$name/$d"
@@ -80,12 +79,13 @@ object VectorData {
       c
     }
 
+    val noise = 0.35 // within-cluster spread, relative to each dimension's scale
     def draw(r: Random): Array[Float] = {
       val c = centers(r.nextInt(spec.clusters))
       val v = new Array[Float](d)
       var t = 0
       while (t < d) {
-        var x = c(t) + r.nextGaussian() * scales(t) * spec.noise
+        var x = c(t) + r.nextGaussian() * scales(t) * noise
         if (spec.skewed && x < 0) x = -x // keep histogram-style non-negativity
         v(t) = x.toFloat
         t += 1
@@ -128,10 +128,10 @@ object VectorData {
   /** Sample skewness of the pooled per-dimension marginals — used by the
     * Table 1 summary to verify the normal-vs-skewed classification.
     */
-  def meanAbsSkewness(vectors: IndexedSeq[Array[Float]], maxDims: Int = 32): Double = {
+  def meanAbsSkewness(vectors: IndexedSeq[Array[Float]]): Double = {
     val d = vectors.head.length
-    val step = math.max(1, d / maxDims)
-    val dims = (0 until d by step).take(maxDims)
+    val sampled = 32 // dimensions, evenly spaced
+    val dims = (0 until d by math.max(1, d / sampled)).take(sampled)
     val skews = dims.map { dim =>
       val xs = vectors.map(_(dim).toDouble)
       val n = xs.length

@@ -1,7 +1,7 @@
 package repro.ivf
 
 import java.util.Random
-import repro.core.Kernels
+import repro.core.{Kernels, PdxLayout}
 
 /** Seeded Lloyd k-means — the "non-optimized Lloyd algorithm" the paper's
   * IVF index uses to form buckets (§2.1). Deterministic in (data, k, seed).
@@ -11,12 +11,7 @@ object KMeans {
   final case class Model(centroids: Array[Array[Float]]) {
     val k: Int = centroids.length
     private val d: Int = if (k > 0) centroids(0).length else 0
-    private val packed: Array[Float] = {
-      val out = new Array[Float](k * d)
-      var i = 0
-      while (i < k) { System.arraycopy(centroids(i), 0, out, i * d, d); i += 1 }
-      out
-    }
+    private val packed: Array[Float] = PdxLayout.packNary(centroids.toIndexedSeq)
 
     /** Nearest centroid of v (ties → lowest index, deterministic). */
     def assign(v: Array[Float]): Int = {

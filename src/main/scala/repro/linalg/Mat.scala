@@ -79,7 +79,9 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
   /** Apply `this` (D x D) to a float vector, returning floats. 4-way
     * unrolled: this is the per-query transform cost of ADSampling/BSA
     * ("Query Preprocessing" in Table 7), so it gets the same independent-
-    * accumulator treatment as the distance kernels.
+    * accumulator treatment as the distance kernels. It keeps its own loop:
+    * one `Kernels.ipUnrolled` call per row gives bit-identical results but
+    * made ADSampling's query prep 1.2–1.4× slower at D=420 under C2.
     */
   def mulVecF(v: Array[Float]): Array[Float] = {
     require(v.length == cols)
@@ -222,15 +224,16 @@ object Mat {
     * `maxSweeps` bounds cost at O(maxSweeps * d^3); for the PCA use case a
     * handful of sweeps concentrates energy far beyond what pruning needs.
     */
-  def symEigen(sym: Mat, maxSweeps: Int = 8, tol: Double = 1e-10): (Array[Double], Mat) = {
+  def symEigen(sym: Mat, maxSweeps: Int = 8): (Array[Double], Mat) = {
     require(sym.rows == sym.cols, "symEigen needs a square matrix")
     val d = sym.rows
     val m = sym.a.clone()
+    val tolerance = 1e-10 // off-diagonal norm, relative to the matrix norm, that stops the sweeps
     val v = eye(d).a // accumulated rotations, row-major; starts as I
     var sweep = 0
     var off = offDiagNorm(m, d)
     val base = frobNorm(m)
-    while (sweep < maxSweeps && off > tol * (base + 1e-300)) {
+    while (sweep < maxSweeps && off > tolerance * (base + 1e-300)) {
       var p = 0
       while (p < d - 1) {
         var q = p + 1
@@ -328,8 +331,4 @@ object Mat {
     val (_, rot) = symEigen(covariance(sample), maxSweeps)
     rot
   }
-
-  /** Apply a D x D rotation to every vector of a collection (float I/O). */
-  def rotateAll(rot: Mat, vectors: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
-    vectors.map(rot.mulVecF)
 }

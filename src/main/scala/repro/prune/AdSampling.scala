@@ -11,14 +11,13 @@ import repro.linalg.Mat
   * distance; the test prunes when
   *   `p * D / dv > τ * (1 + ε0/√dv)²`
   * i.e. when even the (1+ε0/√dv)-inflated estimate exceeds the threshold.
-  * ε0 = 2.1 is the authors' recommended significance knob (§6.1).
+  * ε0 = 2.1, the value the paper (§6.1) and the ADSampling authors fix.
   *
   * Expressed in the [[Pruner]] contract as a bound:
   *   `bound(p, dv) = p * D / (dv * (1+ε0/√dv)²)`, prune iff bound > τ.
   * At `dv == D` the bound equals the exact distance.
   */
-final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
-    extends Pruner {
+final class AdSampling(val d: Int, seed: Long = 17) extends Pruner {
 
   val name = "ADSampling"
   val isExact = false
@@ -30,10 +29,11 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
     * to 1 so the end-of-vector test is the exact comparison.
     */
   private val factor: Array[Float] = {
+    val epsilon = 2.1 // ε0, fixed by the paper (§6.1)
     val f = new Array[Float](d + 1)
     var dv = 1
     while (dv <= d) {
-      val ratio = 1.0 + epsilon0 / math.sqrt(dv.toDouble)
+      val ratio = 1.0 + epsilon / math.sqrt(dv.toDouble)
       f(dv) = (d.toDouble / (dv * ratio * ratio)).toFloat
       dv += 1
     }
@@ -42,7 +42,7 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
   }
 
   override def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
-    Mat.rotateAll(rotation, vecs)
+    vecs.map(rotation.mulVecF)
 
   override def transformVector(v: Array[Float]): Array[Float] = rotation.mulVecF(v)
 

@@ -11,15 +11,15 @@ import repro.core.{PreparedQuery, Pruner}
   *  - [[Bond.Sequential]]       storage order (baseline);
   *  - [[Bond.Decreasing]]       highest |query value| first (original BOND);
   *  - [[Bond.DistanceToMeans]]  largest |query − collection/block mean| first;
-  *  - [[Bond.DimensionZones]]   rank zones of consecutive dims by their mean
-  *    distance-to-means, visit best zones first (trades a little pruning
+  *  - [[Bond.DimensionZones]]   rank 16 zones of consecutive dims by their
+  *    mean distance-to-means, visit best zones first (trades a little pruning
   *    power for sequential stretches — the IVF-block setting of §5).
   *
   * No data transform and no preprocessing: the order is recomputed per
   * (query, block) from the block-mean metadata.
   */
-final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans,
-                 val zones: Int = 16) extends Pruner {
+final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
+    extends Pruner {
 
   val name = s"PDX-BOND(${criteria.label})"
   val isExact = true
@@ -53,7 +53,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans,
       case Bond.DistanceToMeans =>
         sortDimsBy(d)(dim => math.abs(q(dim) - means(dim)))
       case Bond.DimensionZones =>
-        val nz = math.min(zones, d)
+        val nz = math.min(16, d) // zones of ≈ D/16 contiguous dims
         val zoneOf = (dim: Int) => math.min(nz - 1, dim * nz / d)
         val score = new Array[Double](nz)
         val cnt = new Array[Int](nz)

@@ -86,27 +86,20 @@ final class Bsa(val d: Int, val multiplier: Double,
 object Bsa {
 
   /** Exact BSA: pure Cauchy–Schwarz bound (c ≡ 1), no recall trade-off. */
-  def fitExact(vecs: IndexedSeq[Array[Float]], seed: Long = 7, maxSweeps: Int = 8): Bsa =
-    fitInternal(vecs, Double.PositiveInfinity, seed, maxSweeps, learn = false)
+  def fitExact(vecs: IndexedSeq[Array[Float]]): Bsa = fit(vecs, Double.PositiveInfinity)
 
   /** Approximate BSA with learned per-dimension residual-cosine quantiles;
-    * `multiplier` scales the learned quantile (1.0 = as learned).
+    * `multiplier` scales the learned quantile (1.0 = as learned, +∞ = exact).
     */
   def fit(vecs: IndexedSeq[Array[Float]], multiplier: Double = 1.0,
-          seed: Long = 7, maxSweeps: Int = 8, quantile: Double = 0.995,
-          samplePairs: Int = 512): Bsa =
-    fitInternal(vecs, multiplier, seed, maxSweeps, learn = true, quantile, samplePairs)
-
-  private def fitInternal(vecs: IndexedSeq[Array[Float]], multiplier: Double,
-                          seed: Long, maxSweeps: Int, learn: Boolean,
-                          quantile: Double = 0.995, samplePairs: Int = 512): Bsa = {
+          seed: Long = 7, maxSweeps: Int = 8): Bsa = {
     val mean = PdxLayout.globalMeans(vecs) // rejects ragged and non-finite vectors
     val d = mean.length
     val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps)
     val proto = new Bsa(d, Double.PositiveInfinity, basis, mean, new Array[Float](d + 1))
     val cq =
-      if (!learn) Array.fill(d + 1)(1f)
-      else learnCosQuantiles(proto, vecs, seed, quantile, samplePairs)
+      if (multiplier.isPosInfinity) Array.fill(d + 1)(1f)
+      else learnCosQuantiles(proto, vecs, seed)
     new Bsa(d, multiplier, basis, mean, cq)
   }
 
@@ -121,23 +114,24 @@ object Bsa {
     * them and collapse recall under per-vector-tightened thresholds.
     */
   private def learnCosQuantiles(proto: Bsa, vecs: IndexedSeq[Array[Float]],
-                                seed: Long, quantile: Double, samplePairs: Int): Array[Float] = {
+                                seed: Long): Array[Float] = {
     val d = proto.d
+    val quantile = 0.995 // of the residual cosine, per prefix length
     val rnd = new java.util.Random(seed * 31 + 11)
-    val poolSize = math.min(vecs.length, math.max(64, samplePairs))
-    if (poolSize < 2) return Array.fill(d + 1)(1f)
-    val pool = IndexedSeq.fill(poolSize)(proto.transformVector(vecs(rnd.nextInt(vecs.length))))
-    val nPairs = math.min(samplePairs, poolSize)
+    // Each of up to 512 pool vectors is paired with its nearest neighbour in the pool.
+    val nPairs = math.min(vecs.length, 512)
+    if (nPairs < 2) return Array.fill(d + 1)(1f)
+    val pool = IndexedSeq.fill(nPairs)(proto.transformVector(vecs(rnd.nextInt(vecs.length))))
     val cosines = Array.ofDim[Float](d + 1, nPairs)
     var p = 0
     while (p < nPairs) {
-      val a = pool(p % poolSize)
+      val a = pool(p)
       // Nearest neighbour of `a` within the pool (excluding itself).
       var best = -1
       var bestDist = Double.PositiveInfinity
       var t = 0
-      while (t < poolSize) {
-        if (t != p % poolSize) {
+      while (t < nPairs) {
+        if (t != p) {
           val dist = repro.core.Kernels.l2Ref(pool(t), a)
           if (dist < bestDist) { bestDist = dist; best = t }
         }
@@ -161,7 +155,7 @@ object Bsa {
       p += 1
     }
     Array.tabulate(d + 1) { dv =>
-      if (dv == d || nPairs == 0) 1f
+      if (dv == d) 1f
       else {
         val xs = cosines(dv).clone()
         java.util.Arrays.sort(xs)

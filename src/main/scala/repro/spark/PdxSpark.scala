@@ -11,7 +11,6 @@ import repro.prune.Bond
   * `suffix` is empty unless the block carries BSA metadata.
   */
 final case class PdxBlockRow(
-    blockId: Long,
     ids: Array[Long],
     n: Int,
     d: Int,
@@ -23,8 +22,8 @@ final case class PdxBlockRow(
 }
 
 object PdxBlockRow {
-  def from(blockId: Long, b: PdxBlock): PdxBlockRow =
-    PdxBlockRow(blockId, b.ids, b.n, b.d, b.data, b.means, b.suffixSqNorms)
+  def from(b: PdxBlock): PdxBlockRow =
+    PdxBlockRow(b.ids, b.n, b.d, b.data, b.means, b.suffixSqNorms)
 }
 
 /** Spark-side PDX: pack a vector DataFrame into per-partition PDX blocks
@@ -48,9 +47,7 @@ object PdxSpark {
     if (numPartitions > 0) ds.repartition(numPartitions) else ds
   }
 
-  /** Pack a vector DataFrame into PDX blocks, one stream of blocks per
-    * partition. Block ids encode (partition, ordinal) for debuggability.
-    */
+  /** Pack a vector DataFrame into PDX blocks, one stream of blocks per partition. */
   def pack(df: DataFrame, blockSize: Int = PdxLayout.DefaultBlockSize,
            withSuffixNorms: Boolean = false): Dataset[PdxBlockRow] = {
     val spark = df.sparkSession
@@ -58,13 +55,11 @@ object PdxSpark {
     df.select(col("id").cast("long"), col("vec"))
       .as[(Long, Array[Float])]
       .mapPartitions { it =>
-        val part = org.apache.spark.TaskContext.getPartitionId().toLong
-        it.grouped(blockSize).zipWithIndex.map { case (group, ord) =>
+        it.grouped(blockSize).map { group =>
           val vecs = group.map(_._2).toIndexedSeq
           val ids = group.map(_._1).toIndexedSeq
           val d = Option(vecs.head).fold(0)(_.length) // packOne reports a null vector
-          PdxBlockRow.from(part << 32 | ord.toLong,
-                           PdxLayout.packOne(vecs, ids, d, withSuffixNorms))
+          PdxBlockRow.from(PdxLayout.packOne(vecs, ids, d, withSuffixNorms))
         }
       }
   }
@@ -134,13 +129,16 @@ object PdxSpark {
     * answers one PDX block row with its local top-k as
     * `array<struct<id, dist>>` — the SQL-facing path. It runs PDXearch with
     * [[Pruner.NeverPrune]] (the PDX linear scan) on the row's block, so it
-    * shares the searcher's checks of the query and the block's shape.
+    * shares the searcher's checks of the query and the block's shape. A
+    * NULL array argument is rejected by name.
     */
   def registerUdf(spark: SparkSession): Unit = {
     spark.udf.register(
       "pdx_block_knn",
       (data: Seq[Float], n: Int, d: Int, ids: Seq[Long], means: Seq[Float],
        query: Seq[Float], k: Int) => {
+        for ((arg, name) <- Seq(data -> "data", ids -> "ids", means -> "means", query -> "query"))
+          require(arg != null, s"pdx_block_knn: argument $name is NULL")
         val block = PdxBlock(ids.toArray, n, d, data.toArray, means.toArray, Array.emptyFloatArray)
         new PdxSearcher(k).search(Iterator.single(block), query.toArray, Pruner.NeverPrune(d))
           .sorted.map { case (id, dist) => (id, dist.toDouble) }

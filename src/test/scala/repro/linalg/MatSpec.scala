@@ -44,7 +44,7 @@ class MatSpec extends AnyFunSuite {
     test(s"randomOrthogonal(d=$d) preserves L2 distances") {
       val q = Mat.randomOrthogonal(d, seed = d * 13L)
       val vecs = VectorData.gaussian(8, d, seed = d)
-      val rot = Mat.rotateAll(q, vecs)
+      val rot = vecs.map(q.mulVecF)
       for (i <- vecs.indices; j <- vecs.indices if i < j) {
         val before = repro.core.Kernels.l2Ref(vecs(i), vecs(j))
         val after = repro.core.Kernels.l2Ref(rot(i), rot(j))
@@ -117,7 +117,7 @@ class MatSpec extends AnyFunSuite {
     val scale = Array(10.0, 1.0, 1.0, 5.0, 1.0, 1.0)
     val vecs = IndexedSeq.fill(2000)(Array.tabulate(6)(j => (rnd.nextGaussian() * scale(j)).toFloat))
     val rot = Mat.pcaRotation(vecs)
-    val rotated = Mat.rotateAll(rot, vecs)
+    val rotated = vecs.map(rot.mulVecF)
     val vars = (0 until 6).map { j =>
       val xs = rotated.map(_(j).toDouble)
       val m = xs.sum / xs.length

@@ -38,11 +38,10 @@ class PrunerSpec extends AnyFunSuite {
 
   test("ADSampling bound scales partial by D/(dv*(1+eps/sqrt(dv))^2)") {
     val d = 64
-    val eps = 2.1
-    val ads = new AdSampling(d, eps)
+    val ads = new AdSampling(d)
     val pq = ads.prepareQuery(VectorData.gaussian(1, d, seed = 7).head)
     for (dv <- Seq(1, 2, 8, 32, 63)) {
-      val ratio = 1.0 + eps / math.sqrt(dv.toDouble)
+      val ratio = 1.0 + 2.1 / math.sqrt(dv.toDouble) // ε0 = 2.1 (§6.1)
       val expect = 2.0f * (d / (dv * ratio * ratio))
       assert(math.abs(pq.bound(2.0f, dv, 0f) - expect) < 1e-3 * (1 + expect), s"dv=$dv")
     }
@@ -210,12 +209,13 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   test("DimensionZones keeps zones contiguous and ranks them by score") {
-    val d = 8
+    val d = 32
     val q = new Array[Float](d)
-    // Means far from q in dims 4..7 — second zone should come first with 2 zones.
-    val means = Array(0f, 0f, 0f, 0f, 9f, 9f, 9f, 9f)
-    val order = new Bond(d, Bond.DimensionZones, zones = 2).prepareQuery(q).order(means)
-    assert(order.toSeq == Seq(4, 5, 6, 7, 0, 1, 2, 3))
+    // 16 zones of 2 dims; means far from q in dims 2..3 — the second zone
+    // comes first, the rest keep their storage order.
+    val means = Array.tabulate(d)(dim => if (dim == 2 || dim == 3) 9f else 0f)
+    val order = new Bond(d, Bond.DimensionZones).prepareQuery(q).order(means)
+    assert(order.toSeq == Seq(2, 3, 0, 1) ++ (4 until d))
   }
 
   test("Bond bound is the partial distance itself") {

@@ -170,10 +170,12 @@ class PdxSparkSpec extends SparkSpec {
     // The UDF sees the query only in the tasks, row by row.
     PdxSpark.registerUdf(spark)
     blocks.createOrReplaceTempView("bad_query_blocks")
-    for ((q, msg) <- Seq(nan -> "non-finite query value NaN in dimension 4",
-                         (ds.queries.head :+ 0f) -> "query has 25 dimensions but the data has 24")) {
+    for ((queryArg, msg) <- Seq(
+           sqlArray(nan) -> "non-finite query value NaN in dimension 4",
+           sqlArray(ds.queries.head :+ 0f) -> "query has 25 dimensions but the data has 24",
+           "CAST(NULL AS ARRAY<FLOAT>)" -> "argument query is NULL")) {
       val e3 = intercept[Exception](spark.sql(
-        s"SELECT pdx_block_knn(data, n, d, ids, means, ${sqlArray(q)}, 10) FROM bad_query_blocks"
+        s"SELECT pdx_block_knn(data, n, d, ids, means, $queryArg, 10) FROM bad_query_blocks"
       ).collect())
       assert(messages(e3).exists(_.contains(msg)), messages(e3).mkString(" / "))
     }
